@@ -13,11 +13,27 @@ with an integer monomial coefficient read off from the rotation numbers;
 per sector, the single kernel relation c_j u^{d_j} = 0 reduces every
 element to a normal form, namely coefficients in [0, c_j) at u-exponents
 at or above d_j.
+
+Sector j fixes coordinate k exactly when ell / b_k divides j.  A sector
+that fixes nothing has c_j = 1 and d_j = 0, so its generator is zero.
+The ring therefore indexes only the nonzero sectors, as the source paper
+indexes twisted sectors by the fractions k / b_i: ``CrRing.nonzero``
+holds the multiples of ell / b_k over all k, sector 0 first, at most
+sum(b) of them.  Rotation numbers and sector records are computed on
+demand, so a ring costs its nonzero sectors, not ell.
+
+The lemma that lets products, presentations and scans skip the zero
+sectors: if sector i fixes no coordinate, every coordinate k fixed by
+i+j has b_k i != 0 mod ell, so its rotation numbers at i and j sum to
+exactly 1 (excess 1).  The raw product a_i * a_j then carries
+c_{i+j} u^{d_{i+j}}, which reduces to 0.  ``verify`` checks the lemma by
+name.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,54 +63,76 @@ class CrRing:
     """Sector-graded cohomology ring with the twisted product.
 
     >>> R = CrRing((1, 2, 2, 3, 3, 3))
-    >>> R.ell
-    6
+    >>> R.ell, R.nonzero
+    (6, (0, 2, 3, 4))
     >>> print(R.star_generators(2, 2))
     4u^2a4
     >>> print(R.star_generators(3, 4))
     0
     """
 
-    __slots__ = ("weights", "ell", "sectors", "_rot")
+    __slots__ = ("weights", "ell", "nonzero", "_euler", "_records")
 
     def __init__(self, weights):
         w = as_weights(weights)
         self.weights = w
         ell = w.ell
         self.ell = ell
-        # integer rotation table: _rot[j][k] = (b_k * j) mod ell, the
-        # numerator of a_k(j) over the common denominator ell
-        self._rot = tuple(tuple((bk * j) % ell for bk in w.b) for j in range(ell))
-        sectors = []
-        for j in range(ell):
-            nums = self._rot[j]
-            fixed = tuple(k for k, t in enumerate(nums) if t == 0)
-            c = math.prod(w.b[k] for k in fixed)
-            sectors.append(
-                SectorData(
-                    j=j,
-                    a=tuple(Fraction(t, ell) for t in nums),
-                    fixed=fixed,
-                    c=c,
-                    d=len(fixed),
-                    degree_shift=Fraction(2 * sum(nums), ell),
-                )
-            )
-        self.sectors = tuple(sectors)
+        # sector j fixes coordinate k exactly when ell / b_k divides j
+        steps = {ell // bk for bk in w.b}
+        self.nonzero = tuple(sorted({j for step in steps for j in range(0, ell, step)}))
+        # Euler class (c_j, d_j) of each nonzero sector; zero sectors have (1, 0)
+        self._euler = {}
+        for j in self.nonzero:
+            fixed = [bk for bk in w.b if bk * j % ell == 0]
+            self._euler[j] = (math.prod(fixed), len(fixed))
+        self._records = {}
 
-    def sector(self, j: int) -> SectorData:
+    @property
+    def sectors(self) -> "_Sectors":
+        """All ell sector records, as a read-only sequence built on demand."""
+        return _Sectors(self)
+
+    def _check_index(self, j: int) -> None:
         if not 0 <= j < self.ell:
             raise ValueError(f"sector index {j} out of range 0..{self.ell - 1}")
-        return self.sectors[j]
+
+    def rotations(self, j: int) -> tuple[int, ...]:
+        """Numerators of the rotation numbers of sector j over the common
+        denominator ell: (b_k * j) mod ell for each coordinate k."""
+        ell = self.ell
+        return tuple(bk * j % ell for bk in self.weights.b)
+
+    def sector(self, j: int) -> SectorData:
+        self._check_index(j)
+        record = self._records.get(j)
+        if record is None:
+            ell = self.ell
+            nums = self.rotations(j)
+            c, d = self.euler(j)
+            record = self._records[j] = SectorData(
+                j=j,
+                a=tuple(Fraction(t, ell) for t in nums),
+                fixed=tuple(k for k, t in enumerate(nums) if t == 0),
+                c=c,
+                d=d,
+                degree_shift=Fraction(2 * sum(nums), ell),
+            )
+        return record
+
+    def euler(self, j: int) -> tuple[int, int]:
+        """(c_j, d_j) of the sector-j Euler class c_j u^{d_j}."""
+        self._check_index(j)
+        return self._euler.get(j, (1, 0))
 
     def is_zero_generator(self, j: int) -> bool:
         """True when the sector generator is already zero (empty fixed locus)."""
-        s = self.sector(j)
-        return s.c == 1 and s.d == 0
+        self._check_index(j)
+        return j not in self._euler
 
     def twisted_generator_indices(self) -> tuple[int, ...]:
         """Indices of the nonzero twisted-sector generators."""
-        return tuple(j for j in range(1, self.ell) if not self.is_zero_generator(j))
+        return self.nonzero[1:]
 
     # -- elements -----------------------------------------------------------
 
@@ -106,8 +144,7 @@ class CrRing:
         """
         clean = {}
         for j, poly in parts.items():
-            if not 0 <= j < self.ell:
-                raise ValueError(f"sector index {j} out of range 0..{self.ell - 1}")
+            self._check_index(j)
             q = {}
             for m, c in poly.items():
                 if not isinstance(m, int) or m < 0:
@@ -124,11 +161,14 @@ class CrRing:
     def _reduce_parts(self, parts: dict) -> dict:
         out = {}
         for j, poly in parts.items():
-            s = self.sectors[j]
+            euler = self._euler.get(j)
+            if euler is None:
+                continue  # a zero sector: c = 1 kills every coefficient
+            cj, dj = euler
             q = {}
             for m, c in poly.items():
-                if m >= s.d:
-                    c %= s.c
+                if m >= dj:
+                    c %= cj
                 if c:
                     q[m] = c
             if q:
@@ -149,7 +189,7 @@ class CrRing:
 
     def generator(self, j: int) -> "CrElement":
         """The sector-j placeholder generator, in normal form (may be zero)."""
-        self.sector(j)
+        self._check_index(j)
         return self.element({j: {0: 1}})
 
     # -- the twisted product ---------------------------------------------------
@@ -163,11 +203,10 @@ class CrRing:
         contribute their weight to the coefficient and one power of u.
         """
         ell = self.ell
-        ri, rj, rt = self._rot[i], self._rot[j], self._rot[(i + j) % ell]
         coeff = 1
         power = 0
         for k, bk in enumerate(self.weights.b):
-            t = ri[k] + rj[k] - rt[k]
+            t = bk * i % ell + bk * j % ell - bk * (i + j) % ell
             if t == ell:
                 coeff *= bk
                 power += 1
@@ -180,8 +219,8 @@ class CrRing:
 
     def star_generators(self, i: int, j: int) -> "CrElement":
         """Product of the sector-i and sector-j generators, reduced."""
-        self.sector(i)
-        self.sector(j)
+        self._check_index(i)
+        self._check_index(j)
         coeff, power, target = self._raw_product(i, j)
         return self.element({target: {power: coeff}})
 
@@ -210,8 +249,8 @@ class CrRing:
     def kernel_relation(self, j: int) -> "CrElement":
         """The sector-j kernel generator c_j u^{d_j} (times the sector
         generator), before reduction; its normal form is zero."""
-        s = self.sector(j)
-        return self.element({j: {s.d: s.c}}, reduce=False)
+        c, d = self.euler(j)
+        return self.element({j: {d: c}}, reduce=False)
 
     def mult_table(self) -> dict:
         """Products of all nonzero twisted generators, keyed by (i, j), i <= j."""
@@ -223,22 +262,20 @@ class CrRing:
         product relations in lexicographic order.
 
         Product relations where both sides already vanish are omitted.
+        Those are exactly the pairs with a zero generator: by the lemma in
+        the module docstring their products reduce to 0.  So the product
+        relations run over the nonzero twisted sectors only.
         """
         gens = [("u", Fraction(2))]
-        gens += [(f"a{j}", self.sectors[j].degree_shift) for j in range(1, self.ell)]
+        gens += [(f"a{j}", self.sector(j).degree_shift) for j in range(1, self.ell)]
         kernel = tuple(
-            KernelRelation(j, self.sectors[j].c, self.sectors[j].d, self.kernel_relation(j))
+            KernelRelation(j, *self.euler(j), self.kernel_relation(j))
             for j in range(self.ell)
         )
-        products = []
-        for i in range(1, self.ell):
-            for j in range(i, self.ell):
-                rhs = self.star_generators(i, j)
-                lhs_zero = self.is_zero_generator(i) or self.is_zero_generator(j)
-                if lhs_zero and rhs.is_zero:
-                    continue
-                products.append(ProductRelation(i, j, rhs))
-        return CrPresentation(tuple(gens), kernel, tuple(products))
+        products = tuple(
+            ProductRelation(i, j, rhs) for (i, j), rhs in self.mult_table().items()
+        )
+        return CrPresentation(tuple(gens), kernel, products)
 
     # -- grading ------------------------------------------------------------------
 
@@ -251,7 +288,7 @@ class CrRing:
 
         Sector j contributes Z at degree shift_j + 2m while m < d_j and
         Z/c_j once m >= d_j; sectors whose generator is zero contribute
-        nothing.
+        nothing, so only the nonzero sectors are visited.
 
         >>> CrRing((1, 2)).graded_dimensions(3)
         [(Fraction(0, 1), FgAbGroup(1, ())), (Fraction(1, 1), FgAbGroup(1, ())), \
@@ -261,9 +298,8 @@ class CrRing:
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         buckets: dict = {}
-        for s in self.sectors:
-            if s.c == 1 and s.d == 0:
-                continue
+        for j in self.nonzero:
+            s = self.sector(j)
             m = 0
             while s.degree_shift + 2 * m <= max_degree:
                 group = Z if m < s.d else cyclic(s.c)
@@ -280,6 +316,9 @@ class CrRing:
 
         Brute force over the multiplicative units mod ell; this is an
         equality of presentations, not a general graded-isomorphism test.
+        Zero sectors carry no data the ring sees, so a relabelling only has
+        to carry the nonzero sectors onto the other ring's nonzero sectors
+        and match data and structure constants there.
 
         >>> CrRing((2, 2)).equivalent(CrRing((4, 1)))
         False
@@ -290,21 +329,24 @@ class CrRing:
             raise ValueError("can only compare two sector rings")
         if self.ell != other.ell or self.weights.n != other.weights.n:
             return False
+        if len(self.nonzero) != len(other.nonzero):
+            return False
         ell = self.ell
-        units = [t for t in range(ell) if math.gcd(t, ell) == 1]
+        nz = self.nonzero
+        units = (t for t in range(ell) if math.gcd(t, ell) == 1)
         for t in units:
-            if all(self._matches_under(other, t, j) for j in range(ell)) and all(
+            if all(self._matches_under(other, t, j) for j in nz) and all(
                 self._raw_product(i, j)[:2]
                 == other._raw_product(t * i % ell, t * j % ell)[:2]
-                for i in range(ell)
-                for j in range(i, ell)
+                for x, i in enumerate(nz)
+                for j in nz[x:]
             ):
                 return True
         return False
 
     def _matches_under(self, other: "CrRing", t: int, j: int) -> bool:
-        a = self.sectors[j]
-        b = other.sectors[t * j % self.ell]
+        a = self.sector(j)
+        b = other.sector(t * j % self.ell)
         return (a.c, a.d, a.degree_shift) == (b.c, b.d, b.degree_shift)
 
     # -- misc ----------------------------------------------------------------------------
@@ -340,6 +382,24 @@ class CrRing:
 def sectors(weights) -> CrRing:
     """Construct the sector ring (alias for the CrRing constructor)."""
     return CrRing(weights)
+
+
+class _Sectors(Sequence):
+    """The ell sector records of a ring; each is built on first access."""
+
+    __slots__ = ("_ring",)
+
+    def __init__(self, ring: CrRing):
+        self._ring = ring
+
+    def __len__(self):
+        return self._ring.ell
+
+    def __getitem__(self, j):
+        ell = self._ring.ell
+        if not -ell <= j < ell:
+            raise IndexError(f"sector index {j} out of range 0..{ell - 1}")
+        return self._ring.sector(j % ell)
 
 
 @dataclass(frozen=True)
@@ -423,7 +483,7 @@ class CrElement:
         if self.is_zero:
             raise ValueError("the zero element has no degree")
         degs = {
-            2 * m + self.ring.sectors[j].degree_shift for j, m, _ in self.monomials()
+            2 * m + self.ring.sector(j).degree_shift for j, m, _ in self.monomials()
         }
         return degs.pop() if len(degs) == 1 else None
 

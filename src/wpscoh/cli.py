@@ -22,6 +22,20 @@ from .kunneth import odd_torsion_witness, product_groups
 from .orbifold import OrbifoldRing
 from .verify import run_checks
 
+# Output with one column or generator per sector (the sector chart, the
+# presentation) and check, whose rotation-number checks walk every
+# sector, refuse rings with more sectors than this.  The multiplication
+# table and eval see only the nonzero sectors and have no limit.
+DENSE_SECTOR_LIMIT = 100_000
+
+
+def _require_dense(ell: int, what: str) -> None:
+    if ell > DENSE_SECTOR_LIMIT:
+        raise ValueError(
+            f"{what} walks all ell = {ell} sectors, more than the limit of "
+            f"{DENSE_SECTOR_LIMIT}; chenruan --multtable and eval still work"
+        )
+
 
 def _weights_arg(text: str) -> WeightVector:
     try:
@@ -224,6 +238,8 @@ def _chenruan_sections(args):
 def _cmd_chenruan(args) -> int:
     ring = CrRing(args.weights)
     sections = _chenruan_sections(args)
+    if "sectors" in sections or "presentation" in sections:
+        _require_dense(ring.ell, "the sector chart or presentation")
     max_degree = args.max_degree or _default_degree(ring.weights.n)
 
     if args.format == "json":
@@ -511,6 +527,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    _require_dense(args.weights.ell, "check")
     results = run_checks(args.weights)
     ok = all(r.passed for r in results)
     if args.format == "json":

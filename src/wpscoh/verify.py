@@ -7,14 +7,31 @@ structure constants, multiplicativity of the comparison map,
 associativity and commutativity of the twisted product, agreement of
 the identity sector with the orbifold ring, and so on.
 
-Exhaustive sector-triple checks run on plain integer structure
-constants (reduction commutes with multiplying by a monomial, so this
-is the same algebra the element path performs); a sampled cross-check
-through the actual element path guards the equivalence.
+Sector checks run over the ring's nonzero sectors, those that fix some
+coordinate (see ``chenruan``), and report their coverage:
+
+- The associativity scan runs on plain integer structure constants over
+  nonzero^3 (reduction commutes with multiplying by a monomial, so this
+  is the same algebra the element path performs).  It is exhaustive when
+  len(nonzero)^3 fits its budget of 2M triples and uniformly sampled
+  otherwise; a sampled cross-check through the element path guards the
+  equivalence.
+- The lemma check: a sector that fixes no coordinate times any sector
+  reduces to 0, in either order.  So every triple with a zero sector
+  has both association orders zero, and with an exhaustive scan
+  associativity holds on all ell^3 triples.  It covers every pair whose
+  product lands in a nonzero sector (the others reduce to 0 by
+  definition), exhaustively up to 100k pairs and sampled beyond.
+- Commutativity and grading run over nonzero pairs, exhaustively up to
+  100k pairs and sampled beyond.
+- The rotation-number excess check runs, for each distinct weight b,
+  over residues mod ell / b; it is exhaustive for every ell.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -33,49 +50,87 @@ class CheckResult:
 
 def _reduce_raw(ring: CrRing, coeff: int, power: int, sector: int):
     """Reduced monomial (coeff, power) in a sector, or None when zero."""
-    s = ring.sectors[sector]
-    if power >= s.d:
-        coeff %= s.c
+    c, d = ring.euler(sector)
+    if power >= d:
+        coeff %= c
     return None if coeff == 0 else (coeff, power)
 
 
 def star_associativity_scan(ring: CrRing, budget: int = 2_000_000, seed: int = 0):
-    """Check (a_i * a_j) * a_k == a_i * (a_j * a_k) over sector triples.
+    """Check (a_i * a_j) * a_k == a_i * (a_j * a_k) over triples of
+    nonzero sectors.
 
-    Runs on integer structure-constant tables; exhaustive when ell^3
-    fits the budget, uniformly sampled otherwise.  Returns (ok, detail).
+    Runs on integer structure-constant tables; exhaustive when
+    len(nonzero)^3 fits the budget, uniformly sampled otherwise.  The
+    triples with a zero sector are the lemma check's (see run_checks).
+    Returns (ok, detail).
     """
     ell = ring.ell
-    raw = [[ring._raw_product(i, j) for j in range(ell)] for i in range(ell)]
-    red = [[_reduce_raw(ring, *raw[i][j]) for j in range(ell)] for i in range(ell)]
+    nz = ring.nonzero
 
-    def one_side(first, second_raw, final_sector):
+    # (raw, reduced) structure constants of a pair.  The cache holds all
+    # len(nonzero)^2 pairs when the scan is exhaustive; when it samples,
+    # that square may far exceed memory, so the cache is bounded.
+    @functools.lru_cache(maxsize=min(len(nz) ** 2, 1 << 16))
+    def constants(i, j):
+        raw = ring._raw_product(i, j)
+        return raw, _reduce_raw(ring, *raw)
+
+    def one_side(first, second_pair, final_sector):
         if first is None:
             return None
         c1, e1 = first
-        c2, e2, _ = second_raw
+        c2, e2, _ = constants(*second_pair)[0]
         return _reduce_raw(ring, c1 * c2, e1 + e2, final_sector)
 
-    total = ell**3
+    total = len(nz) ** 3
     if total <= budget:
-        triples = (
-            (i, j, k) for i in range(ell) for j in range(ell) for k in range(ell)
-        )
+        triples = itertools.product(nz, repeat=3)
         detail = f"exhaustive over {total} triples"
     else:
         rng = random.Random(seed)
         triples = (
-            (rng.randrange(ell), rng.randrange(ell), rng.randrange(ell))
-            for _ in range(budget)
+            (rng.choice(nz), rng.choice(nz), rng.choice(nz)) for _ in range(budget)
         )
         detail = f"sampled {budget} of {total} triples"
 
     for i, j, k in triples:
         w = (i + j + k) % ell
-        lhs = one_side(red[i][j], raw[(i + j) % ell][k], w)
-        rhs = one_side(red[j][k], raw[i][(j + k) % ell], w)
+        lhs = one_side(constants(i, j)[1], ((i + j) % ell, k), w)
+        rhs = one_side(constants(j, k)[1], (i, (j + k) % ell), w)
         if lhs != rhs:
             return False, f"triple ({i},{j},{k}): {lhs} != {rhs}"
+    return True, detail
+
+
+def zero_sector_lemma(ring: CrRing, budget: int = 100_000, seed: int = 0):
+    """Check that a_i * a_j and a_j * a_i reduce to 0 whenever sector i
+    fixes no coordinate.
+
+    Pairs whose product lands in a zero sector reduce to 0 by
+    definition, so the check runs over i outside ``nonzero`` and
+    j = t - i for t in ``nonzero``: exhaustive when those pairs fit the
+    budget, uniformly sampled otherwise.  Returns (ok, detail).
+    """
+    ell = ring.ell
+    nz = ring.nonzero
+    zero = [i for i in range(ell) if ring.is_zero_generator(i)]
+    total = len(nz) * len(zero)
+    if total <= budget:
+        pairs = ((i, (t - i) % ell) for t in nz for i in zero)
+        detail = f"exhaustive over {total} pairs"
+    else:
+        rng = random.Random(seed)
+        pairs = (
+            (i, (rng.choice(nz) - i) % ell)
+            for i in (rng.choice(zero) for _ in range(budget))
+        )
+        detail = f"sampled {budget} of {total} pairs"
+    for i, j in pairs:
+        for x, y in ((i, j), (j, i)):
+            survivor = _reduce_raw(ring, *ring._raw_product(x, y))
+            if survivor is not None:
+                return False, f"a{x}*a{y} = {survivor}, not 0, with a{i} fixing nothing"
     return True, detail
 
 
@@ -157,26 +212,43 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
     else:
         check("orbifold ring: (l_1 u)^top = 0", True, "trivial for n = 0")
 
-    # sector pair enumeration, shared by the pairwise checks below
+    # excess of rotation numbers is 0 or 1 on every coordinate.  A weight-b
+    # coordinate's numerator b * j mod ell depends on j mod p only, with
+    # p = ell / b, and equals b * x on the residues x < p (checked here).
+    # So the excess at sectors (i, j) is a function of x + y for their
+    # residues x, y, and one residue pair per sum covers all ell^2 pairs.
     ell = cr.ell
-    if ell * ell <= 100_000:
-        pairs = [(i, j) for i in range(ell) for j in range(i, ell)]
-        pair_detail = "exhaustive"
-    else:
-        pairs = [(rng.randrange(ell), rng.randrange(ell)) for _ in range(50_000)]
-        pair_detail = f"sampled {len(pairs)} pairs"
-
-    # excess of rotation numbers is 0 or 1 on every coordinate
     ok = True
-    for i, j in pairs:
-        t = (i + j) % ell
-        for k in range(w.n + 1):
-            if cr._rot[i][k] + cr._rot[j][k] - cr._rot[t][k] not in (0, ell):
+    for b in sorted(set(w.b)):
+        k, p = w.b.index(b), ell // b
+        ok = ok and all(cr.rotations(x)[k] == b * x for x in range(p))
+        for total in range(2 * p - 1):
+            x = min(total, p - 1)
+            excess = (
+                cr.rotations(x)[k]
+                + cr.rotations(total - x)[k]
+                - cr.rotations(total % ell)[k]
+            )
+            if excess not in (0, ell):
                 ok = False
-    check("sectors: rotation-number excess lies in {0,1}", ok, pair_detail)
+    check(
+        "sectors: rotation-number excess lies in {0,1}",
+        ok,
+        "exhaustive over residues mod ell/b",
+    )
+
+    # sector pairs for the pairwise checks: nonzero generators only, as
+    # the lemma check below covers every product with a zero generator
+    nz = cr.nonzero
+    cr_gens = {j: cr.generator(j) for j in nz}
+    if len(nz) ** 2 <= 100_000:
+        pairs = [(i, j) for x, i in enumerate(nz) for j in nz[x:]]
+        pair_detail = f"exhaustive over {len(pairs)} nonzero pairs"
+    else:
+        pairs = [(rng.choice(nz), rng.choice(nz)) for _ in range(50_000)]
+        pair_detail = f"sampled {len(pairs)} nonzero pairs"
 
     # twisted product: commutative, unital
-    cr_gens = [cr.generator(j) for j in range(ell)]
     check(
         "twisted product: commutative on generators",
         all(cr.star(cr_gens[i], cr_gens[j]) == cr.star(cr_gens[j], cr_gens[i]) for i, j in pairs),
@@ -185,7 +257,7 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
     samples = [
         cr.element(
             {
-                rng.randrange(ell): {rng.randrange(w.n + 2): rng.randrange(-9, 10)}
+                rng.choice(nz): {rng.randrange(w.n + 2): rng.randrange(-9, 10)}
                 for _ in range(3)
             }
         )
@@ -193,15 +265,18 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
     ]
     check(
         "twisted product: sector-0 generator is the unit",
-        all(cr.star(cr.one(), x) == x for x in cr_gens + samples),
+        all(cr.star(cr.one(), x) == x for x in [*cr_gens.values(), *samples]),
     )
 
-    # associativity: exhaustive on structure constants, sampled on elements
+    # associativity: exhaustive on structure constants, sampled on
+    # elements; the lemma extends the scan to triples with a zero sector
     ok, detail = star_associativity_scan(cr, budget=triple_budget, seed=seed)
     check("twisted product: associative (structure-constant scan)", ok, detail)
+    ok, detail = zero_sector_lemma(cr, seed=seed)
+    check("twisted product: a sector fixing no coordinate kills every product", ok, detail)
     ok = True
-    for _ in range(min(200, ell**3)):
-        i, j, k = (rng.randrange(ell) for _ in range(3))
+    for _ in range(min(200, len(nz) ** 3)):
+        i, j, k = (rng.choice(nz) for _ in range(3))
         lhs = cr.star(cr.star(cr_gens[i], cr_gens[j]), cr_gens[k])
         rhs = cr.star(cr_gens[i], cr.star(cr_gens[j], cr_gens[k]))
         if lhs != rhs:
@@ -212,15 +287,13 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
     ok = True
     for i, j in pairs:
         x, y = cr_gens[i], cr_gens[j]
-        if x.is_zero or y.is_zero:
-            continue
         p = cr.star(x, y)
         if not p.is_zero and p.degree() != x.degree() + y.degree():
             ok = False
     check("grading: additive on surviving generator products", ok, pair_detail)
 
     # the identity sector is the orbifold ring
-    s0 = cr.sectors[0]
+    s0 = cr.sector(0)
     ok = s0.c == w.N and s0.d == w.n + 1 and s0.degree_shift == 0
     for _ in range(20):
         pa = {rng.randrange(w.n + 2): rng.randrange(-9, 10) for _ in range(3)}
@@ -233,13 +306,13 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
 
     # sectors acting trivially on every coordinate are exactly the
     # multiples of ell/g, and they look like the identity sector
-    global_sectors = [j for j in range(ell) if all(t == 0 for t in cr._rot[j])]
-    ok = global_sectors == [j for j in range(ell) if j % (ell // w.g) == 0]
+    global_sectors = [j for j in nz if not any(cr.rotations(j))]
+    ok = global_sectors == list(range(0, ell, ell // w.g))
     for j in global_sectors:
-        s = cr.sectors[j]
+        s = cr.sector(j)
         if s.d != w.n + 1 or s.c != w.N or s.degree_shift != 0:
             ok = False
-        if cr_gens[j] * cr_gens[(ell - j) % ell] != cr.one():
+        if cr.generator(j) * cr.generator((ell - j) % ell) != cr.one():
             ok = False
     check(
         "global stabilizer: trivial-action sectors form the expected subgroup",

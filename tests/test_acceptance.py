@@ -242,7 +242,7 @@ def test_08a_rotation_excess_integral_everywhere():
     for b in CORPUS:
         ring = CrRing(b)
         ell = ring.ell
-        rot = ring._rot
+        rot = [ring.rotations(j) for j in range(ell)]
         for i in range(ell):
             ri = rot[i]
             for j in range(ell):

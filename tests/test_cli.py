@@ -148,3 +148,46 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "u"
+
+
+# ell = 14,535,931 sectors, of which 135 are nonzero
+HUGE = "19,23,29,31,37"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chenruan", "--weights", HUGE),
+        ("chenruan", "--weights", HUGE, "--sectors"),
+        ("chenruan", "--weights", HUGE, "--presentation", "--format", "json"),
+        ("chenruan", "--weights", HUGE, "--multtable", "--sectors"),
+        ("check", "--weights", HUGE),
+    ],
+)
+def test_dense_listings_refuse_huge_ell(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "limit of 100000" in err
+
+
+def test_sparse_queries_work_on_huge_ell(capsys):
+    code, out, _ = run_cli(capsys, "chenruan", "--weights", HUGE, "--multtable")
+    assert code == 0
+    twisted = 134
+    assert out.count(" = ") == twisted * (twisted + 1) // 2
+    # sector ell/19 fixes only the weight-19 coordinate, as does its double,
+    # so the coefficient is reduced mod 19
+    code, out, _ = run_cli(
+        capsys, "eval", "--weights", HUGE, "--ring", "chenruan", "a765049*a765049"
+    )
+    assert code == 0
+    assert out.splitlines() == ["13u^3a1530098", "degree: 176/19"]
+
+
+def test_dense_limit_boundary(capsys, monkeypatch):
+    monkeypatch.setattr("wpscoh.cli.DENSE_SECTOR_LIMIT", 6)
+    assert run_cli(capsys, "chenruan", "--weights", "1,2,3", "--sectors")[0] == 0
+    assert run_cli(capsys, "check", "--weights", "1,2,3")[0] == 0
+    assert run_cli(capsys, "chenruan", "--weights", "1,2,4,3", "--sectors")[0] == 2
+    assert run_cli(capsys, "check", "--weights", "1,2,4,3")[0] == 2

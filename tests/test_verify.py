@@ -1,7 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from wpscoh.chenruan import CrRing
-from wpscoh.verify import run_checks, star_associativity_scan
+from wpscoh.verify import run_checks, star_associativity_scan, zero_sector_lemma
 
 
 @pytest.mark.parametrize(
@@ -27,3 +29,45 @@ def test_scan_reports_exhaustive_or_sampled():
     assert ok and detail.startswith("exhaustive")
     ok, detail = star_associativity_scan(ring, budget=10)
     assert ok and detail.startswith("sampled 10 of")
+
+
+def test_sampled_scan_does_not_tabulate_all_pairs():
+    # every one of the 1009 sectors is nonzero, so a table of all pairs
+    # would hold about 10^6 structure constants
+    ring = CrRing((1, 1009))
+    tracemalloc.start()
+    try:
+        ok, detail = star_associativity_scan(ring, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and detail == f"sampled 1000 of {1009**3} triples"
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("weights", [(5, 7, 9), (7, 9, 11), (4, 9, 14)])
+def test_scan_is_exhaustive_over_nonzero_sectors(weights):
+    nonzero = len(CrRing(weights).nonzero)
+    results = {r.name: r for r in run_checks(weights)}
+    scan = results["twisted product: associative (structure-constant scan)"]
+    assert scan.passed
+    assert scan.detail == f"exhaustive over {nonzero**3} triples"
+
+
+def test_zero_sector_lemma_check_catches_a_dropped_excess(monkeypatch):
+    original = CrRing._raw_product
+
+    def drop_one_excess(ring, i, j):
+        coeff, power, target = original(ring, i, j)
+        ell = ring.ell
+        for bk in ring.weights.b:
+            if bk * i % ell + bk * j % ell >= ell:
+                return coeff // bk, power - 1, target
+        return coeff, power, target
+
+    monkeypatch.setattr(CrRing, "_raw_product", drop_one_excess)
+    results = {r.name: r for r in run_checks((1, 2, 2, 3, 3, 3))}
+    lemma = results["twisted product: a sector fixing no coordinate kills every product"]
+    assert not lemma.passed
+    ok, detail = zero_sector_lemma(CrRing((4, 9, 14)))
+    assert not ok and "fixing nothing" in detail
