@@ -2,15 +2,27 @@
 
 A group is stored as a free rank together with torsion coefficients
 d_1 | d_2 | ... | d_r (each >= 2).  That form is unique, so equality of
-groups is equality of fields.  Canonicalisation works by pairwise
-gcd/lcm absorption, using Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b); no
-factorisation and no matrix normal forms are needed.
+groups is equality of fields.
+
+Canonicalisation needs no prime factorisation and no matrix normal
+forms.  Orders that already form a divisibility chain are kept as they
+are.  Otherwise the orders are split over a coprime base q_1, ..., q_m
+(``arith.coprime_base``): by the Chinese remainder theorem each Z/d is
+the sum of the Z/q^(v_q(d)), and the i-th largest invariant factor is
+the product over q of q raised to the i-th largest exponent v_q(d).
+``direct_sum_all`` pools the summands and canonicalises once.  The
+older pairwise gcd/lcm absorption, Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b)
+repeated to a fixed point, is kept as the test oracle in
+``tests/test_closed_form_oracle.py``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+
+from .arith import coprime_base, valuation
 
 
 def _invariant_factors(orders) -> tuple[int, ...]:
@@ -23,24 +35,22 @@ def _invariant_factors(orders) -> tuple[int, ...]:
     >>> _invariant_factors([])
     ()
     """
-    factors = [d for d in orders if d > 1]
-    # Each absorption strictly increases the total sum (gcd+lcm >= a+b,
-    # equal only when one divides the other), and the sum is bounded, so
-    # this terminates.
-    changed = True
-    while changed:
-        changed = False
-        factors.sort()
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a:
-                    factors[i] = math.gcd(a, b)
-                    factors[j] = math.lcm(a, b)
-                    changed = True
-        factors = [d for d in factors if d > 1]
-    factors.sort()
-    return tuple(factors)
+    factors = sorted(d for d in orders if d > 1)
+    if all(b % a == 0 for a, b in zip(factors, factors[1:])):
+        return tuple(factors)
+    counts = Counter(factors)
+    chain: list[int] = []  # largest invariant factor first
+    for q in coprime_base(counts):
+        exponents = []
+        for d, mult in counts.items():
+            e = valuation(d, q)
+            if e:
+                exponents += [e] * mult
+        exponents.sort(reverse=True)
+        chain += [1] * (len(exponents) - len(chain))
+        for i, e in enumerate(exponents):
+            chain[i] *= q**e
+    return tuple(reversed(chain))
 
 
 class FgAbGroup:
@@ -143,10 +153,11 @@ class FgAbGroup:
 
 def direct_sum_all(groups) -> FgAbGroup:
     """Direct sum of any number of groups (empty sum is the zero group)."""
-    total = FgAbGroup()
+    free_rank, orders = 0, []
     for g in groups:
-        total = total.direct_sum(g)
-    return total
+        free_rank += g.free_rank
+        orders += g.torsion
+    return FgAbGroup(free_rank, orders)
 
 
 def cyclic(d: int) -> FgAbGroup:

@@ -51,6 +51,49 @@ def lcm_all(xs: Iterable[int]) -> int:
     return math.lcm(*xs)
 
 
+def coprime_base(xs: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 over which every x factors.
+
+    Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 1993):
+    whenever a new number shares a factor d = gcd(x, q) with a base
+    element q, both are split into d and their cofactors, which are fed
+    back in.  Each split divides the product of the pending numbers and
+    the base by d > 1, so the loop ends; nothing is ever factored into
+    primes.  Every x is then a product of powers of base elements.
+
+    >>> sorted(coprime_base((12, 18)))
+    [2, 3]
+    >>> sorted(coprime_base((6, 35, 1)))
+    [6, 35]
+    """
+    base: list[int] = []
+    todo = [x for x in xs if x > 1]
+    while todo:
+        x = todo.pop()
+        for i, q in enumerate(base):
+            d = math.gcd(x, q)
+            if d > 1:
+                base.pop(i)
+                todo += [y for y in (d, q // d, x // d) if y > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def valuation(x: int, q: int) -> int:
+    """Largest e with q^e dividing x, for x >= 1 and q >= 2.
+
+    >>> valuation(72, 6), valuation(72, 2), valuation(5, 3)
+    (2, 3, 0)
+    """
+    e = 0
+    while x % q == 0:
+        x //= q
+        e += 1
+    return e
+
+
 def residue(m: int, ell: int) -> int:
     """Smallest non-negative integer congruent to ``m`` modulo ``ell``.
 

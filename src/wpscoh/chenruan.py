@@ -521,11 +521,16 @@ class CrElement:
         return NotImplemented
 
     def __pow__(self, k: int):
+        """Square-and-multiply: about 2 log2(k) products."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponents must be non-negative integers")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
+        out, base = self.ring.one(), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -18,7 +18,7 @@ from .arith import WeightVector
 from .chenruan import CrRing
 from .expr import EvalError, ParseError, evaluate, parse
 from .kawasaki import KawasakiRing
-from .kunneth import odd_torsion_witness, product_groups
+from .kunneth import product_groups
 from .orbifold import OrbifoldRing
 from .verify import run_checks
 
@@ -63,6 +63,19 @@ def _fr(x) -> str:
 
 def _default_degree(n: int) -> Fraction:
     return Fraction(2 * (n + 2))
+
+
+def _max_degree(args, n: int) -> Fraction:
+    """--max-degree if given (0 included), else the default for dimension n."""
+    return args.max_degree if args.max_degree is not None else _default_degree(n)
+
+
+def _integral_max_degree(args, n: int) -> int:
+    """--max-degree for the subcommands whose groups sit in integral degrees."""
+    value = _max_degree(args, n)
+    if value.denominator != 1:
+        raise ValueError(f"{args.command} needs an integral --max-degree, got {value}")
+    return int(value)
 
 
 def _dump_json(obj) -> str:
@@ -240,7 +253,7 @@ def _cmd_chenruan(args) -> int:
     sections = _chenruan_sections(args)
     if "sectors" in sections or "presentation" in sections:
         _require_dense(ring.ell, "the sector chart or presentation")
-    max_degree = args.max_degree or _default_degree(ring.weights.n)
+    max_degree = _max_degree(args, ring.weights.n)
 
     if args.format == "json":
         doc: dict = {"weights": list(ring.weights.b), "ell": ring.ell}
@@ -351,7 +364,7 @@ def _cmd_chenruan(args) -> int:
 def _cmd_kawasaki(args) -> int:
     ring = KawasakiRing(args.weights)
     n = ring.weights.n
-    max_degree = int(args.max_degree or _default_degree(n))
+    max_degree = _integral_max_degree(args, n)
     pres = ring.presentation()
 
     if args.format == "json":
@@ -408,7 +421,7 @@ def _cmd_orbifold(args) -> int:
     ring = OrbifoldRing(args.weights)
     kaw = KawasakiRing(args.weights)
     n = ring.weights.n
-    max_degree = int(args.max_degree or _default_degree(n))
+    max_degree = _integral_max_degree(args, n)
     images = [(f"g{k}", kaw.qstar(kaw.gamma(k), ring)) for k in range(1, n + 1)]
 
     if args.format == "json":
@@ -444,12 +457,9 @@ def _cmd_orbifold(args) -> int:
 
 def _cmd_kunneth(args) -> int:
     wa, wb = args.weights, args.weights_b
-    max_degree = int(
-        args.max_degree if args.max_degree is not None
-        else _default_degree(wa.n + wb.n)
-    )
+    max_degree = _integral_max_degree(args, wa.n + wb.n)
     pg = product_groups(wa, wb, max_degree)
-    witness = odd_torsion_witness(wa, wb, max_degree)
+    witness = pg.odd_torsion_witness()
 
     if args.format == "json":
         doc = {
@@ -555,8 +565,15 @@ def _cmd_check(args) -> int:
 # -- argument plumbing ---------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="wpscoh",
         description="Exact cohomology rings of weighted projective quotients.",
     )

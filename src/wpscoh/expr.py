@@ -12,11 +12,19 @@ Precedence is ^ over unary minus over * over + and -; * is
 left-associative and ^ does not associate (a^2^3 is a syntax error).
 Exponents are literal non-negative integers.  Symbol validity is the
 target ring's business, checked at evaluation time.
+
+Parentheses and unary minus may nest at most ``MAX_NESTING`` deep;
+deeper input is a ParseError rather than a blown interpreter stack.
+Chains of + - * are loops in the parser and in ``evaluate``, so their
+length is not bounded.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -124,6 +132,16 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # open parentheses and unary minuses
+
+    def nested(self, parse, pos):
+        """Run a sub-parser one nesting level down, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.i]
@@ -150,8 +168,8 @@ class _Parser:
 
     def factor(self):
         if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.factor())
+            pos = self.advance()[2]
+            return Neg(self.nested(self.factor, pos))
         node = self.atom()
         if self.peek()[0] == "^":
             self.advance()
@@ -171,7 +189,7 @@ class _Parser:
         if kind == "sym":
             return Sym(value, pos)
         if kind == "(":
-            node = self.expr()
+            node = self.nested(self.expr, pos)
             kind, value, pos = self.advance()
             if kind != ")":
                 raise ParseError(f"expected ')', got {_describe(kind, value)}", pos)
@@ -234,6 +252,8 @@ def unparse(node) -> str:
 
 # -- evaluator -----------------------------------------------------------------------
 
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
 
 def evaluate(node, ring):
     """Evaluate an AST in a ring exposing from_int, one and symbol_element.
@@ -250,12 +270,16 @@ def evaluate(node, ring):
             raise EvalError(f"{exc} (at position {node.pos})") from None
     if isinstance(node, Neg):
         return -evaluate(node.operand, ring)
-    if isinstance(node, Add):
-        return evaluate(node.left, ring) + evaluate(node.right, ring)
-    if isinstance(node, Sub):
-        return evaluate(node.left, ring) - evaluate(node.right, ring)
-    if isinstance(node, Mul):
-        return evaluate(node.left, ring) * evaluate(node.right, ring)
+    if type(node) in _BINARY:
+        # a chain such as x + y - z*w is a left spine: walk it in a loop
+        spine = []
+        while type(node) in _BINARY:
+            spine.append(node)
+            node = node.left
+        value = evaluate(node, ring)
+        for op in reversed(spine):
+            value = _BINARY[type(op)](value, evaluate(op.right, ring))
+        return value
     if isinstance(node, Pow):
         return evaluate(node.base, ring) ** node.exponent
     raise TypeError(f"not an expression node: {node!r}")

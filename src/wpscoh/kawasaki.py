@@ -9,34 +9,44 @@ integer structure constants built from the subset-lcm table
 
 over all (k+1)-element subsets of the weights.  The comparison map into
 the orbifold ring sends the degree-2k generator to ell_k * u^k.
+
+The table has a closed form.  For a prime p, the p-part of
+prod(S) / gcd(S) is the sum of the v_p(b_i) over S minus their minimum,
+that is, the sum of the k largest of them; it is largest when S holds
+the k+1 weights of largest v_p.  So v_p(ell_k) is the sum of the k
+largest v_p(b_i).  ``subset_lcm_table`` applies this over a coprime base
+of the weights (``arith.coprime_base``) in place of the primes, so it
+neither factors nor walks the 2^(n+1) subsets.  The subset enumeration
+itself is kept as the test oracle in ``tests/test_closed_form_oracle.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .abelian import GradedGroups, Z
-from .arith import as_weights
+from .arith import as_weights, coprime_base, valuation
 from .orbifold import OrbifoldElement, OrbifoldRing
 
 
 def subset_lcm_table(b) -> tuple[int, ...]:
-    """The table ell_0 = 1, ell_1, ..., ell_n by direct subset enumeration.
+    """The table ell_0 = 1, ell_1, ..., ell_n.
 
-    Small inputs only (C(n+1, k+1) subsets each); the enumeration is the
-    definition, so it doubles as its own oracle.
+    Over each element q of a coprime base of the weights, ell_k carries
+    q to the sum of the k largest exponents v_q(b_i).
 
     >>> subset_lcm_table((1, 2, 2, 3, 3, 3))
     (1, 6, 36, 108, 108, 108)
     """
-    b = tuple(b)
-    out = []
-    for k in range(len(b)):
-        vals = [math.prod(s) // math.gcd(*s) for s in combinations(b, k + 1)]
-        out.append(math.lcm(*vals))
-    return tuple(out)
+    b = as_weights(b).b
+    table = [1] * len(b)
+    for q in coprime_base(b):
+        exponents = sorted((valuation(x, q) for x in b), reverse=True)
+        e = 0
+        for k in range(1, len(b)):
+            e += exponents[k - 1]
+            table[k] *= q**e
+    return tuple(table)
 
 
 class KawasakiRing:
@@ -56,9 +66,12 @@ class KawasakiRing:
         self.weights = w
         self.ell_table = subset_lcm_table(w.b)
         # cheap cross-checks of known identities
-        assert self.ell_table[0] == 1
-        assert w.n == 0 or self.ell_table[1] == w.ell
-        assert self.ell_table[w.n] == w.N // w.g
+        if self.ell_table[0] != 1:
+            raise ArithmeticError(f"l_0 = {self.ell_table[0]}, not 1, for {w}")
+        if w.n and self.ell_table[1] != w.ell:
+            raise ArithmeticError(f"l_1 = {self.ell_table[1]}, not the lcm {w.ell}, for {w}")
+        if self.ell_table[w.n] != w.N // w.g:
+            raise ArithmeticError(f"l_n = {self.ell_table[w.n]}, not N/g = {w.N // w.g}, for {w}")
 
     def ell(self, k: int) -> int:
         if not 0 <= k <= self.weights.n:
@@ -243,11 +256,16 @@ class KawasakiElement:
         return NotImplemented
 
     def __pow__(self, k: int):
+        """Square-and-multiply: about 2 log2(k) products."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponents must be non-negative integers")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
+        out, base = self.ring.one(), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __eq__(self, other):

@@ -7,13 +7,29 @@ and the Tor terms at i+j = d+1.  Both factors are torsion-free below
 the top dimension but carry Z/N in every even degree above it, so the
 Tor terms produce torsion in odd degrees of the product, something no
 single weighted projective orbifold has.
+
+Each factor group is Z (even degree at most 2n), Z/N (even degree above
+2n) or 0, so each degree has a closed form.  With g = gcd(Na, Nb) and
+L = lcm(Na, Nb), count the pairs of even degrees (i, j):
+
+* r tensor pairs with i <= 2na and j <= 2nb, each giving Z;
+* s tensor pairs with only i <= 2na, each giving Z/Nb;
+* t tensor pairs with only j <= 2nb, each giving Z/Na;
+* v tensor pairs at i+j = d, plus Tor pairs at i+j = d+1, above both
+  tops, each giving Z/g.
+
+Since Z/Na + Z/Nb = Z/g + Z/L, with m = min(s, t) the invariant factors
+are g^(v+m), then Na^(t-m) or Nb^(s-m), then L^m, so each degree costs
+one group.  The summand-by-summand construction is kept as the test
+oracle in ``tests/test_closed_form_oracle.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .abelian import GradedGroups, direct_sum_all
+from .abelian import FgAbGroup, GradedGroups
 from .orbifold import OrbifoldRing
 
 
@@ -25,6 +41,15 @@ class ProductGroups:
     factor_b: OrbifoldRing
     groups: GradedGroups
 
+    def odd_torsion_witness(self):
+        """Smallest odd degree up to the bound with a nonzero group, or None."""
+        return next((d for d, _ in self.groups.items() if d % 2), None)
+
+
+def _count(lo: int, hi: int) -> int:
+    """How many integers p satisfy lo <= p <= hi."""
+    return max(0, hi - lo + 1)
+
 
 def product_groups(a, b, max_degree: int) -> ProductGroups:
     """Cohomology groups of the product orbifold up to max_degree.
@@ -34,19 +59,28 @@ def product_groups(a, b, max_degree: int) -> ProductGroups:
     Z^2
     >>> print(pg.groups.group(3))
     0
+    >>> print(product_groups((1, 2), (1, 2), 7).groups.group(7))
+    Z/2
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     ra, rb = OrbifoldRing(a), OrbifoldRing(b)
+    na, nb = ra.weights.n, rb.weights.n
+    g, lcm = math.gcd(ra.N, rb.N), math.lcm(ra.N, rb.N)
     table = {}
     for d in range(max_degree + 1):
-        summands = [
-            ra.group_at_degree(i).tensor(rb.group_at_degree(d - i)) for i in range(d + 1)
-        ]
-        summands += [
-            ra.group_at_degree(i).tor(rb.group_at_degree(d + 1 - i)) for i in range(d + 2)
-        ]
-        table[d] = direct_sum_all(summands)
+        # pairs (2p, 2q) with p + q = h; the factors are torsion for p > na, q > nb
+        h = (d + 1) // 2
+        if d % 2:  # only Tor terms, nonzero when both factors are torsion
+            r = s = t = 0
+        else:
+            r = _count(max(0, h - nb), min(h, na))
+            s = _count(0, min(na, h - nb - 1))
+            t = _count(max(na + 1, h - nb), h)
+        v = _count(na + 1, h - nb - 1)
+        m = min(s, t)
+        orders = [g] * (v + m) + [ra.N] * (t - m) + [rb.N] * (s - m) + [lcm] * m
+        table[d] = FgAbGroup(r, orders)
     return ProductGroups(ra, rb, GradedGroups(max_degree, table))
 
 
@@ -58,8 +92,4 @@ def odd_torsion_witness(a, b, max_degree: int):
     >>> odd_torsion_witness((1, 1), (1, 1), 9) is None
     True
     """
-    pg = product_groups(a, b, max_degree)
-    for d in range(1, max_degree + 1, 2):
-        if not pg.groups.group(d).is_zero:
-            return d
-    return None
+    return product_groups(a, b, max_degree).odd_torsion_witness()

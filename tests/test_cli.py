@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpscoh.cli import main
 
@@ -191,3 +195,99 @@ def test_dense_limit_boundary(capsys, monkeypatch):
     assert run_cli(capsys, "check", "--weights", "1,2,3")[0] == 0
     assert run_cli(capsys, "chenruan", "--weights", "1,2,4,3", "--sectors")[0] == 2
     assert run_cli(capsys, "check", "--weights", "1,2,4,3")[0] == 2
+
+
+def test_kunneth_builds_the_product_groups_once(capsys, monkeypatch):
+    from wpscoh import cli
+
+    calls = []
+    build = cli.product_groups
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "product_groups", counting)
+    code, out, _ = run_cli(
+        capsys, "kunneth", "--weights", "1,2", "--weights-b", "1,2", "--max-degree", "9"
+    )
+    assert code == 0 and len(calls) == 1
+    assert "first odd degree with nonzero group: 7 (Z/2)" in out
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (("kawasaki", "--weights", "1,2,3"), "  degree 0: Z"),
+        (("orbifold", "--weights", "1,2,3"), "  q*(g2) = 6u^2"),
+        (("chenruan", "--weights", "1,2,3", "--presentation"), "  degree 0: Z"),
+        (("kunneth", "--weights", "1,2", "--weights-b", "3"),
+         "no odd-degree torsion up to degree 0"),
+    ],
+)
+def test_max_degree_zero_is_honoured(capsys, argv, last_line):
+    code, out, _ = run_cli(capsys, *argv, "--max-degree", "0")
+    assert code == 0
+    assert "up to 0)" in out or "up to degree 0:" in out
+    assert "degree 2" not in out.split("up to")[1]
+    assert out.splitlines()[-1] == last_line
+
+
+@pytest.mark.parametrize("command", ["kawasaki", "orbifold", "kunneth"])
+def test_fractional_max_degree_is_rejected_where_degrees_are_integral(capsys, command):
+    argv = [command, "--weights", "1,2,3", "--max-degree", "7/2"]
+    if command == "kunneth":
+        argv += ["--weights-b", "2,2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {command} needs an integral --max-degree, got 7/2\n"
+
+
+def test_fractional_max_degree_still_works_for_chenruan(capsys):
+    code, out, _ = run_cli(
+        capsys, "chenruan", "--weights", "1,2", "--presentation", "--max-degree", "7/2"
+    )
+    assert code == 0 and "groups by degree (up to 7/2):" in out
+
+
+def test_deeply_nested_expression_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--weights", "1,2", "--ring", "orbifold", "(" * 3000 + "u" + ")" * 3000
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression nests deeper than") and len(err.splitlines()) == 1
+
+
+_degree_texts = st.one_of(
+    st.just("0"),
+    st.integers(-40, 60).map(str),
+    st.tuples(st.integers(-40, 60), st.integers(1, 7)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(["-0", "1e1", "2.5", "x", "1/0", ""]),
+)
+
+
+@given(
+    st.sampled_from(["kunneth", "kawasaki", "orbifold"]),
+    st.lists(st.integers(1, 7), min_size=1, max_size=4),
+    _degree_texts,
+    st.sampled_from(["text", "json", "latex"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_max_degree_fuzz(command, weights, degree, fmt):
+    csv = ",".join(map(str, weights))
+    argv = [command, "--weights", csv, "--format", fmt, "--max-degree", degree]
+    if command == "kunneth":
+        argv += ["--weights-b", csv[::-1]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

@@ -161,3 +161,21 @@ def test_evaluate_is_a_homomorphism(x, y):
     assert evaluate(Mul(x, y), ring) == vx * vy
     assert evaluate(Neg(x), ring) == -vx
     assert evaluate(Pow(x, 2), ring) == vx * vx
+
+
+def test_nesting_bound():
+    assert parse("(" * 100 + "u" + ")" * 100) == Sym("u")
+    with pytest.raises(ParseError, match="nests deeper than 100 levels"):
+        parse("(" * 3000 + "u" + ")" * 3000)
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse("-" * 101 + "u")
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse("(-" * 51 + "u" + ")" * 51)
+
+
+def test_long_chains_evaluate_without_recursion():
+    orb = OrbifoldRing((1, 2))
+    assert evaluate(parse(" + ".join(["u"] * 3000)), orb) == orb.u(coeff=3000)
+    assert evaluate(parse("*".join(["u"] * 3000)), orb) == orb.u(3000)
+    assert evaluate(parse("u" + " - u" * 2999), orb) == orb.u(coeff=-2998)
+    assert evaluate(parse("2*u + 3*u*u - u^2"), orb) == orb.element({1: 2, 2: 2})

@@ -182,3 +182,40 @@ def test_cross_checks_against_lcm():
         if w.n >= 1:
             assert ring.ell(1) == lcm_all(b)
         assert ring.ell(w.n) == w.N // w.g
+
+
+def test_table_identities_are_checked_without_assert(monkeypatch):
+    from wpscoh import kawasaki
+
+    good = kawasaki.subset_lcm_table
+    for broken in (
+        lambda b: (2,) + good(b)[1:],
+        lambda b: good(b)[:1] + (7,) + good(b)[2:],
+        lambda b: good(b)[:-1] + (good(b)[-1] * 5,),
+    ):
+        monkeypatch.setattr(kawasaki, "subset_lcm_table", broken)
+        with pytest.raises(ArithmeticError):
+            KawasakiRing((1, 2, 2, 3, 3, 3))
+
+
+def test_table_identities_survive_python_optimize():
+    import os
+    import subprocess
+    import sys
+
+    from wpscoh import kawasaki
+
+    src = os.path.dirname(os.path.dirname(kawasaki.__file__))
+    code = (
+        "from wpscoh import kawasaki\n"
+        "kawasaki.subset_lcm_table = lambda b: (2,) * len(tuple(b))\n"
+        "try:\n"
+        "    kawasaki.KawasakiRing((1, 2))\n"
+        "except ArithmeticError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == "raised\n", proc.stderr
