@@ -22,6 +22,12 @@ holds the multiples of ell / b_k over all k, sector 0 first, at most
 sum(b) of them.  Rotation numbers and sector records are computed on
 demand, so a ring costs its nonzero sectors, not ell.
 
+In the shape of ``algebra``: a Z[u]-module on one basis element a_j
+per sector, in degree 2 * age(j), with annihilator the Euler class
+c_j u^{d_j} (c_j = 1, d_j = 0 kills a zero sector outright) and
+structure constants a_i a_j = coeff u^power a_{i+j} from
+``CrRing._raw_product``.
+
 The lemma that lets products, presentations and scans skip the zero
 sectors: if sector i fixes no coordinate, every coordinate k fixed by
 i+j has b_k i != 0 mod ell, so its rotation numbers at i and j sum to
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .abelian import FgAbGroup, Z, cyclic, direct_sum_all
+from .algebra import Algebra, Element, monomial, u_power
 from .arith import as_weights
 
 
@@ -59,7 +66,22 @@ class SectorData:
     degree_shift: Fraction
 
 
-class CrRing:
+class CrElement(Element):
+    """Finitely supported map sector -> integer polynomial in u.
+
+    Held in per-sector normal form unless produced by the kernel-relation
+    emitter.
+    """
+
+    __slots__ = ()
+    __pow__ = Element.__pow__  # its own name, for perfbench/tracing.py
+
+    def reduced(self) -> "CrElement":
+        """Normal form (only relevant for raw kernel generators)."""
+        return self.ring.element(self.parts)
+
+
+class CrRing(Algebra):
     """Sector-graded cohomology ring with the twisted product.
 
     >>> R = CrRing((1, 2, 2, 3, 3, 3))
@@ -71,7 +93,8 @@ class CrRing:
     0
     """
 
-    __slots__ = ("weights", "ell", "nonzero", "_euler", "_records")
+    __slots__ = ("ell", "nonzero", "_euler", "_records")
+    _element_class = CrElement
 
     def __init__(self, weights):
         w = as_weights(weights)
@@ -93,7 +116,7 @@ class CrRing:
         """All ell sector records, as a read-only sequence built on demand."""
         return _Sectors(self)
 
-    def _check_index(self, j: int) -> None:
+    def _check_basis(self, j: int) -> None:
         if not 0 <= j < self.ell:
             raise ValueError(f"sector index {j} out of range 0..{self.ell - 1}")
 
@@ -104,7 +127,7 @@ class CrRing:
         return tuple(bk * j % ell for bk in self.weights.b)
 
     def sector(self, j: int) -> SectorData:
-        self._check_index(j)
+        self._check_basis(j)
         record = self._records.get(j)
         if record is None:
             ell = self.ell
@@ -122,12 +145,12 @@ class CrRing:
 
     def euler(self, j: int) -> tuple[int, int]:
         """(c_j, d_j) of the sector-j Euler class c_j u^{d_j}."""
-        self._check_index(j)
+        self._check_basis(j)
         return self._euler.get(j, (1, 0))
 
     def is_zero_generator(self, j: int) -> bool:
         """True when the sector generator is already zero (empty fixed locus)."""
-        self._check_index(j)
+        self._check_basis(j)
         return j not in self._euler
 
     def twisted_generator_indices(self) -> tuple[int, ...]:
@@ -136,61 +159,29 @@ class CrRing:
 
     # -- elements -----------------------------------------------------------
 
-    def element(self, parts: dict, reduce: bool = True) -> "CrElement":
+    def element(self, parts: dict, reduce: bool = True) -> CrElement:
         """Build an element from {sector: {u-exponent: coefficient}}.
 
         With ``reduce=False`` the parts are stored as given; only the
         kernel-relation emitter uses that, for display.
         """
-        clean = {}
-        for j, poly in parts.items():
-            self._check_index(j)
-            q = {}
-            for m, c in poly.items():
-                if not isinstance(m, int) or m < 0:
-                    raise ValueError(f"u-exponents must be non-negative integers, got {m!r}")
-                if c:
-                    q[m] = q.get(m, 0) + c
-            q = {m: c for m, c in q.items() if c}
-            if q:
-                clean[j] = q
-        if reduce:
-            clean = self._reduce_parts(clean)
-        return CrElement(self, clean)
+        return self._from_parts(parts, reduce)
 
-    def _reduce_parts(self, parts: dict) -> dict:
-        out = {}
-        for j, poly in parts.items():
-            euler = self._euler.get(j)
-            if euler is None:
-                continue  # a zero sector: c = 1 kills every coefficient
-            cj, dj = euler
-            q = {}
-            for m, c in poly.items():
-                if m >= dj:
-                    c %= cj
-                if c:
-                    q[m] = c
-            if q:
-                out[j] = q
-        return out
-
-    def zero(self) -> "CrElement":
-        return CrElement(self, {})
-
-    def one(self) -> "CrElement":
-        return self.from_int(1)
-
-    def from_int(self, c: int) -> "CrElement":
-        return self.element({0: {0: c}})
-
-    def u(self, power: int = 1, coeff: int = 1) -> "CrElement":
+    def u(self, power: int = 1, coeff: int = 1) -> CrElement:
         return self.element({0: {power: coeff}})
 
-    def generator(self, j: int) -> "CrElement":
+    def generator(self, j: int) -> CrElement:
         """The sector-j placeholder generator, in normal form (may be zero)."""
-        self._check_index(j)
         return self.element({j: {0: 1}})
+
+    _annihilator = euler
+
+    def _shift(self, j):
+        return self.sector(j).degree_shift
+
+    def _variable(self, j, m, latex):
+        sector = (r"\alpha_{%d}" if latex else "a%d") % j if j else ""
+        return u_power(m, latex) + sector
 
     # -- the twisted product ---------------------------------------------------
 
@@ -219,30 +210,18 @@ class CrRing:
 
     def star_generators(self, i: int, j: int) -> "CrElement":
         """Product of the sector-i and sector-j generators, reduced."""
-        self._check_index(i)
-        self._check_index(j)
+        self._check_basis(i)
+        self._check_basis(j)
         coeff, power, target = self._raw_product(i, j)
         return self.element({target: {power: coeff}})
 
-    def star(self, x: "CrElement", y: "CrElement") -> "CrElement":
-        """Bilinear extension of the generator product; u-powers multiply
-        straight through."""
-        self._check_element(x)
-        self._check_element(y)
-        raw: dict = {}
-        for i, pi in x.parts.items():
-            for j, pj in y.parts.items():
-                coeff, power, target = self._raw_product(i, j)
-                bucket = raw.setdefault(target, {})
-                for m1, c1 in pi.items():
-                    for m2, c2 in pj.items():
-                        m = m1 + m2 + power
-                        bucket[m] = bucket.get(m, 0) + coeff * c1 * c2
-        return self.element(raw)
+    # Bilinear extension of the generator product, under the ring's own
+    # name; elements multiply through it, so perfbench/tracing.py's span
+    # on CrRing.star sees every product.
+    star = Algebra.multiply
 
-    def _check_element(self, x):
-        if not isinstance(x, CrElement) or x.ring.weights != self.weights:
-            raise ValueError("element does not belong to this ring")
+    def multiply(self, x: CrElement, y: CrElement) -> CrElement:
+        return self.star(x, y)
 
     # -- relations and presentation ---------------------------------------------
 
@@ -367,17 +346,6 @@ class CrRing:
             "use u and a0..a%d" % (self.ell - 1)
         )
 
-    def __eq__(self, other):
-        if isinstance(other, CrRing):
-            return self.weights == other.weights
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("chenruan", self.weights))
-
-    def __repr__(self):
-        return f"CrRing({self.weights!r})"
-
 
 def sectors(weights) -> CrRing:
     """Construct the sector ring (alias for the CrRing constructor)."""
@@ -412,7 +380,8 @@ class KernelRelation:
     element: "CrElement"
 
     def __str__(self):
-        return _monomial_str(self.coefficient, self.exponent, self.j)
+        variable = self.element.ring._variable(self.j, self.exponent, False)
+        return monomial(self.coefficient, variable)
 
 
 @dataclass(frozen=True)
@@ -432,127 +401,3 @@ class CrPresentation:
     generators: tuple[tuple[str, Fraction], ...]
     kernel_relations: tuple[KernelRelation, ...]
     product_relations: tuple[ProductRelation, ...]
-
-
-def _monomial_str(coeff: int, power: int, j: int) -> str:
-    pieces = []
-    if power:
-        pieces.append("u" if power == 1 else f"u^{power}")
-    if j:
-        pieces.append(f"a{j}")
-    if not pieces:
-        return str(coeff)
-    body = "".join(pieces)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}{body}"
-
-
-class CrElement:
-    """Finitely supported map sector -> integer polynomial in u.
-
-    Held in per-sector normal form unless produced by the kernel-relation
-    emitter.  Value semantics.
-    """
-
-    __slots__ = ("ring", "parts")
-
-    def __init__(self, ring: CrRing, parts: dict):
-        self.ring = ring
-        self.parts = parts
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def monomials(self):
-        """Sorted (sector, u-exponent, coefficient) triples."""
-        return [
-            (j, m, self.parts[j][m])
-            for j in sorted(self.parts)
-            for m in sorted(self.parts[j])
-        ]
-
-    def degree(self):
-        """Common rational degree of all monomials, or None if mixed.
-
-        deg(u^m * a_j) = 2m + degree_shift(j); raises on zero.
-        """
-        if self.is_zero:
-            raise ValueError("the zero element has no degree")
-        degs = {
-            2 * m + self.ring.sector(j).degree_shift for j, m, _ in self.monomials()
-        }
-        return degs.pop() if len(degs) == 1 else None
-
-    def reduced(self) -> "CrElement":
-        """Normal form (only relevant for raw kernel generators)."""
-        return self.ring.element(self.parts)
-
-    def __add__(self, other):
-        self.ring._check_element(other)
-        out = {j: dict(p) for j, p in self.parts.items()}
-        for j, poly in other.parts.items():
-            bucket = out.setdefault(j, {})
-            for m, c in poly.items():
-                bucket[m] = bucket.get(m, 0) + c
-        return self.ring.element(out)
-
-    def __neg__(self):
-        return self.ring.element(
-            {j: {m: -c for m, c in p.items()} for j, p in self.parts.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.ring.element(
-                {j: {m: other * c for m, c in p.items()} for j, p in self.parts.items()}
-            )
-        return self.ring.star(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        """Square-and-multiply: about 2 log2(k) products."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponents must be non-negative integers")
-        out, base = self.ring.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, CrElement):
-            return self.ring.weights == other.ring.weights and self.parts == other.parts
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(
-            (self.ring.weights, tuple((j, tuple(sorted(p.items()))) for j, p in sorted(self.parts.items())))
-        )
-
-    def __repr__(self):
-        return f"<{self} in {self.ring!r}>"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for j, m, c in self.monomials():
-            body = _monomial_str(abs(c), m, j)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0]
-        first = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([first] + parts[1:])

@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
+from .algebra import monomial, u_power
 from .arith import WeightVector
 from .chenruan import CrRing
 from .expr import EvalError, ParseError, evaluate, parse
@@ -25,8 +27,16 @@ from .verify import run_checks
 # Output with one column or generator per sector (the sector chart, the
 # presentation) and check, whose rotation-number checks walk every
 # sector, refuse rings with more sectors than this.  The multiplication
-# table and eval see only the nonzero sectors and have no limit.
+# table and eval see only the nonzero sectors.
 DENSE_SECTOR_LIMIT = 100_000
+
+# --max-degree above this is refused: every subcommand that takes it
+# lists each degree up to it, and kunneth's listing grows with its square.
+MAX_DEGREE_LIMIT = 4000
+
+# The presentation and the multiplication table list one product per
+# pair of nonzero twisted sectors; more sectors than this are refused.
+PRODUCT_SECTOR_LIMIT = 1000
 
 
 def _require_dense(ell: int, what: str) -> None:
@@ -56,18 +66,22 @@ def _degree_arg(text: str) -> Fraction:
     return value
 
 
-def _fr(x) -> str:
-    """Fractions as reduced p/q, integers plain."""
+def _fr(x, latex: bool = False) -> str:
+    """Fractions as reduced p/q, or \\frac{p}{q} in LaTeX; integers plain."""
+    if latex and x.denominator != 1:
+        return r"\frac{%d}{%d}" % (x.numerator, x.denominator)
     return str(x)
 
 
-def _default_degree(n: int) -> Fraction:
-    return Fraction(2 * (n + 2))
-
-
 def _max_degree(args, n: int) -> Fraction:
-    """--max-degree if given (0 included), else the default for dimension n."""
-    return args.max_degree if args.max_degree is not None else _default_degree(n)
+    """--max-degree if given (0 included), else 2(n+2) for dimension n."""
+    if args.max_degree is None:
+        return Fraction(2 * (n + 2))
+    if args.max_degree > MAX_DEGREE_LIMIT:
+        raise ValueError(
+            f"--max-degree {args.max_degree} is above the limit of {MAX_DEGREE_LIMIT}"
+        )
+    return args.max_degree
 
 
 def _integral_max_degree(args, n: int) -> int:
@@ -93,40 +107,53 @@ def _table(rows) -> str:
 # -- sector table -----------------------------------------------------------
 
 
-def _fixed_locus_label(ring: CrRing, j: int) -> str:
+# the whole space, the origin and one weight's line, in each notation
+_LOCUS_TEXT = ("C^%d", "{0}", "C_(%d)")
+_LOCUS_LATEX = (r"\mathbb{C}^{%d}", r"\{0\}", r"\mathbb{C}_{(%d)}")
+
+
+def _fixed_locus_label(ring: CrRing, j: int, tokens=_LOCUS_TEXT) -> str:
+    """The fixed locus of sector j, e.g. ``C^3``, ``{0}`` or ``2C_(2)+C_(3)``."""
+    whole, origin, line = tokens
     s = ring.sectors[j]
     n = ring.weights.n
     if len(s.fixed) == n + 1:
-        return f"C^{n + 1}"
+        return whole % (n + 1)
     if not s.fixed:
-        return "{0}"
-    counts: dict = {}
-    for k in s.fixed:
-        w = ring.weights.b[k]
-        counts[w] = counts.get(w, 0) + 1
+        return origin
+    counts = Counter(ring.weights.b[k] for k in s.fixed)
     return "+".join(
-        (f"{m}C_({w})" if m > 1 else f"C_({w})") for w, m in sorted(counts.items())
+        (str(m) if m > 1 else "") + line % w for w, m in sorted(counts.items())
     )
 
 
-def _euler_label(c: int, d: int) -> str:
-    if d == 0:
-        return str(c)
-    u = "u" if d == 1 else f"u^{d}"
-    return u if c == 1 else f"{c}{u}"
+def _euler_label(c: int, d: int, latex: bool = False) -> str:
+    """The Euler class c u^d, e.g. ``108u^6``, printed as an element's monomial."""
+    return monomial(c, u_power(d, latex))
 
 
-def _sector_rows(ring: CrRing):
-    """Row-label / per-sector-value rows of the sector chart."""
-    distinct = sorted(set(ring.weights.b))
-    rows = [("sector", [f"zeta_{j}" for j in range(ring.ell)])]
-    rows.append(("fixed locus", [_fixed_locus_label(ring, j) for j in range(ring.ell)]))
-    for w in distinct:
-        k = ring.weights.b.index(w)
-        rows.append((f"a_({w})", [_fr(s.a[k]) for s in ring.sectors]))
-    rows.append(("2*age", [_fr(s.degree_shift) for s in ring.sectors]))
-    rows.append(("generator", [f"a{j}" for j in range(ring.ell)]))
-    rows.append(("euler class", [_euler_label(s.c, s.d) for s in ring.sectors]))
+def _sector_rows(ring: CrRing, latex: bool = False):
+    """(label, per-sector cells) rows of the sector chart."""
+    ell, b = ring.ell, ring.weights.b
+    if latex:
+        locus = _LOCUS_LATEX
+        labels = ("g", r"(\mathbb{C}^{%d})^g" % (ring.weights.n + 1),
+                  r"2\cdot\mathrm{age}(g)", r"\text{generator}", "e(g)")
+        sector, rotation, generator = r"\zeta_{%d}", r"a_{\mathbb{C}_{(%d)}}(g)", r"\alpha_{%d}"
+    else:
+        locus = _LOCUS_TEXT
+        labels = ("sector", "fixed locus", "2*age", "generator", "euler class")
+        sector, rotation, generator = "zeta_%d", "a_(%d)", "a%d"
+    rows = [
+        (labels[0], [sector % j for j in range(ell)]),
+        (labels[1], [_fixed_locus_label(ring, j, locus) for j in range(ell)]),
+    ]
+    for w in sorted(set(b)):
+        k = b.index(w)
+        rows.append((rotation % w, [_fr(s.a[k], latex) for s in ring.sectors]))
+    rows.append((labels[2], [_fr(s.degree_shift, latex) for s in ring.sectors]))
+    rows.append((labels[3], [generator % j for j in range(ell)]))
+    rows.append((labels[4], [_euler_label(s.c, s.d, latex) for s in ring.sectors]))
     return rows
 
 
@@ -134,102 +161,14 @@ def _sector_table_text(ring: CrRing) -> str:
     return _table([[label] + cells for label, cells in _sector_rows(ring)])
 
 
-_LATEX_ROW_LABELS = {
-    "sector": "g",
-    "fixed locus": r"(\mathbb{C}^{%d})^g",
-    "2*age": r"2\cdot\mathrm{age}(g)",
-    "generator": r"\text{generator}",
-    "euler class": r"e(g)",
-}
-
-
-def _latex_euler(c: int, d: int) -> str:
-    if d == 0:
-        return str(c)
-    u = "u" if d == 1 else f"u^{{{d}}}"
-    return u if c == 1 else f"{c}{u}"
-
-
-def _latex_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return r"\frac{%d}{%d}" % (x.numerator, x.denominator)
-
-
-def _latex_fixed_locus(ring: CrRing, j: int) -> str:
-    s = ring.sectors[j]
-    n = ring.weights.n
-    if len(s.fixed) == n + 1:
-        return r"\mathbb{C}^{%d}" % (n + 1)
-    if not s.fixed:
-        return r"\{0\}"
-    counts: dict = {}
-    for k in s.fixed:
-        w = ring.weights.b[k]
-        counts[w] = counts.get(w, 0) + 1
-    return "+".join(
-        (str(m) if m > 1 else "") + r"\mathbb{C}_{(%d)}" % w
-        for w, m in sorted(counts.items())
-    )
-
-
 def _sector_table_latex(ring: CrRing) -> str:
-    ell = ring.ell
-    n = ring.weights.n
-    lines = [r"\begin{array}{c||%s}" % "|".join("c" * ell)]
-    lines.append("g & " + " & ".join(r"\zeta_{%d}" % j for j in range(ell)) + r" \\")
+    (label, cells), *rows = _sector_rows(ring, latex=True)
+    lines = [r"\begin{array}{c||%s}" % "|".join("c" * ring.ell)]
+    lines.append(" & ".join([label] + cells) + r" \\")
     lines.append(r"\hline\hline")
-    lines.append(
-        (r"(\mathbb{C}^{%d})^g & " % (n + 1))
-        + " & ".join(_latex_fixed_locus(ring, j) for j in range(ell))
-        + r" \\ \hline"
-    )
-    for w in sorted(set(ring.weights.b)):
-        k = ring.weights.b.index(w)
-        lines.append(
-            (r"a_{\mathbb{C}_{(%d)}}(g) & " % w)
-            + " & ".join(_latex_fraction(s.a[k]) for s in ring.sectors)
-            + r" \\ \hline"
-        )
-    lines.append(
-        r"2\cdot\mathrm{age}(g) & "
-        + " & ".join(_latex_fraction(s.degree_shift) for s in ring.sectors)
-        + r" \\ \hline"
-    )
-    lines.append(
-        r"\text{generator} & "
-        + " & ".join(r"\alpha_{%d}" % j for j in range(ell))
-        + r" \\ \hline"
-    )
-    lines.append(
-        r"e(g) & "
-        + " & ".join(_latex_euler(s.c, s.d) for s in ring.sectors)
-        + r" \\ \hline"
-    )
+    lines.extend(" & ".join([label] + cells) + r" \\ \hline" for label, cells in rows)
     lines.append(r"\end{array}")
     return "\n".join(lines)
-
-
-def _latex_cr_element(x) -> str:
-    if x.is_zero:
-        return "0"
-    terms = []
-    for j, m, c in x.monomials():
-        body = ""
-        if m:
-            body += "u" if m == 1 else f"u^{{{m}}}"
-        if j:
-            body += r"\alpha_{%d}" % j
-        if not body:
-            body = str(abs(c))
-        elif abs(c) != 1:
-            body = f"{abs(c)}{body}"
-        terms.append(("-" if c < 0 else "+", body))
-    sign, body = terms[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
 
 
 # -- chenruan ----------------------------------------------------------------
@@ -253,6 +192,13 @@ def _cmd_chenruan(args) -> int:
     sections = _chenruan_sections(args)
     if "sectors" in sections or "presentation" in sections:
         _require_dense(ring.ell, "the sector chart or presentation")
+    listed = "presentation" in sections or "multtable" in sections
+    twisted = len(ring.twisted_generator_indices())
+    if listed and twisted > PRODUCT_SECTOR_LIMIT:
+        raise ValueError(
+            f"the presentation and multiplication table list products of {twisted} "
+            f"nonzero twisted sectors, more than the limit of {PRODUCT_SECTOR_LIMIT}"
+        )
     max_degree = _max_degree(args, ring.weights.n)
 
     if args.format == "json":
@@ -303,21 +249,21 @@ def _cmd_chenruan(args) -> int:
                 for name, _ in pres.generators
             )
             rels = ", ".join(
-                _latex_cr_element(rel.element) for rel in pres.kernel_relations
+                rel.element.render(latex=True) for rel in pres.kernel_relations
             )
             blocks.append(
                 r"\mathbb{Z}[%s]/(\mathcal{I} + \langle %s \rangle)" % (gens, rels)
             )
             blocks.append(
                 "\n".join(
-                    r"\alpha_{%d}\alpha_{%d} = %s \\" % (rel.i, rel.j, _latex_cr_element(rel.product))
+                    r"\alpha_{%d}\alpha_{%d} = %s \\" % (rel.i, rel.j, rel.product.render(latex=True))
                     for rel in pres.product_relations
                 )
             )
         if "multtable" in sections:
             blocks.append(
                 "\n".join(
-                    r"\alpha_{%d} \star \alpha_{%d} = %s \\" % (i, j, _latex_cr_element(prod))
+                    r"\alpha_{%d} \star \alpha_{%d} = %s \\" % (i, j, prod.render(latex=True))
                     for (i, j), prod in sorted(ring.mult_table().items())
                 )
             )
@@ -387,13 +333,10 @@ def _cmd_kawasaki(args) -> int:
             r"\text{generators: } "
             + ", ".join(r"\gamma_{%d} \ (\deg %d)" % (k, 2 * k) for k in range(1, n + 1)),
         ]
-        for k, m, prod in pres.relations:
-            if prod.is_zero:
-                rhs = "0"
-            else:
-                (idx, coeff), = prod.coeffs.items()
-                rhs = (str(coeff) if coeff != 1 else "") + r"\gamma_{%d}" % idx
-            lines.append(r"\gamma_{%d}\gamma_{%d} = %s \\" % (k, m, rhs))
+        lines.extend(
+            r"\gamma_{%d}\gamma_{%d} = %s \\" % (k, m, prod.render(latex=True))
+            for k, m, prod in pres.relations
+        )
         print("\n".join(lines))
         return 0
 
@@ -432,13 +375,10 @@ def _cmd_orbifold(args) -> int:
 
     if args.format == "latex":
         lines = [r"\mathbb{Z}[u]/\langle %du^{%d} \rangle" % (ring.N, ring.top)]
-        for name, img in images:
-            k = int(name[1:])
-            (m, c), = img.coeffs.items()
-            lines.append(
-                r"q^*(\gamma_{%d}) = %s%s \\"
-                % (k, c if c != 1 else "", "u" if m == 1 else f"u^{{{m}}}")
-            )
+        lines.extend(
+            r"q^*(\gamma_{%s}) = %s \\" % (name[1:], img.render(latex=True))
+            for name, img in images
+        )
         print("\n".join(lines))
         return 0
 
@@ -526,7 +466,7 @@ def _cmd_eval(args) -> int:
         )
         return 0
     if args.format == "latex" and args.ring == "chenruan":
-        print(_latex_cr_element(value))
+        print(value.render(latex=True))
         return 0
     print(str(value))
     print(f"degree: {degree}")

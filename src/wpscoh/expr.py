@@ -15,8 +15,9 @@ target ring's business, checked at evaluation time.
 
 Parentheses and unary minus may nest at most ``MAX_NESTING`` deep;
 deeper input is a ParseError rather than a blown interpreter stack.
-Chains of + - * are loops in the parser and in ``evaluate``, so their
-length is not bounded.
+Chains of + - * are loops in the parser, in ``unparse`` and in
+``evaluate``, so their length is not bounded.  The AST dataclasses'
+generated ``==`` and ``repr`` still recurse along such a chain.
 """
 
 from __future__ import annotations
@@ -227,24 +228,35 @@ def _wrap(node, minimum):
     return f"({text})" if _LEVEL[type(node)] < minimum else text
 
 
+# infix text of each binary node: its left operand must bind at least as
+# tightly as the node itself, its right operand more tightly
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*"}
+
+
 def unparse(node) -> str:
     """Render an AST so that parse(unparse(t)) == t.
 
     >>> unparse(parse("2*(a4 - 1)"))
     '2*(a4 - 1)'
     """
+    # a chain such as x + y - z*w is a left spine: walk it in a loop
+    spine = []
+    while type(node) in _INFIX:
+        spine.append(node)
+        node = node.left
+        if _LEVEL[type(node)] < _LEVEL[type(spine[-1])]:
+            break
+    if spine:
+        text = _wrap(node, _LEVEL[type(spine[-1])])
+        for op in reversed(spine):
+            text += _INFIX[type(op)] + _wrap(op.right, _LEVEL[type(op)] + 1)
+        return text
     if isinstance(node, Lit):
         return str(node.value)
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, Neg):
         return "-" + _wrap(node.operand, 3)
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, 1)} + {_wrap(node.right, 2)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, 1)} - {_wrap(node.right, 2)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, 2)}*{_wrap(node.right, 3)}"
     if isinstance(node, Pow):
         return f"{_wrap(node.base, 5)}^{node.exponent}"
     raise TypeError(f"not an expression node: {node!r}")

@@ -18,6 +18,11 @@ largest v_p(b_i).  ``subset_lcm_table`` applies this over a coprime base
 of the weights (``arith.coprime_base``) in place of the primes, so it
 neither factors nor walks the 2^(n+1) subsets.  The subset enumeration
 itself is kept as the test oracle in ``tests/test_closed_form_oracle.py``.
+
+In the shape of ``algebra``: a Z[u]-module on the basis g_0 = 1, g_1,
+..., g_n with g_k in degree 2k, on which u acts as zero (elements only
+use the u-exponent 0), with no annihilator and structure constants
+g_k g_m = (ell_k ell_m / ell_{k+m}) g_{k+m}, zero above the top.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import GradedGroups, Z
+from .algebra import Algebra, Element
 from .arith import as_weights, coprime_base, valuation
 from .orbifold import OrbifoldElement, OrbifoldRing
 
@@ -49,7 +55,19 @@ def subset_lcm_table(b) -> tuple[int, ...]:
     return tuple(table)
 
 
-class KawasakiRing:
+class KawasakiElement(Element):
+    """Integer combination of the per-degree generators (index 0 = unit);
+    ``coeffs`` is {generator index: coefficient}."""
+
+    __slots__ = ()
+    __pow__ = Element.__pow__  # its own name, for perfbench/tracing.py
+
+    @property
+    def coeffs(self) -> dict:
+        return {k: p[0] for k, p in self.parts.items()}
+
+
+class KawasakiRing(Algebra):
     """The twisted integral cohomology ring of the underlying space.
 
     >>> R = KawasakiRing((1, 2, 2, 3, 3, 3))
@@ -59,7 +77,8 @@ class KawasakiRing:
     g2
     """
 
-    __slots__ = ("weights", "ell_table")
+    __slots__ = ("ell_table",)
+    _element_class = KawasakiElement
 
     def __init__(self, weights):
         w = as_weights(weights)
@@ -74,60 +93,43 @@ class KawasakiRing:
             raise ArithmeticError(f"l_n = {self.ell_table[w.n]}, not N/g = {w.N // w.g}, for {w}")
 
     def ell(self, k: int) -> int:
-        if not 0 <= k <= self.weights.n:
-            raise ValueError(f"index {k} out of range 0..{self.weights.n}")
+        self._check_basis(k)
         return self.ell_table[k]
+
+    def _raw_product(self, k, m):
+        if k + m > self.weights.n:
+            return None
+        coeff, rem = divmod(self.ell_table[k] * self.ell_table[m], self.ell_table[k + m])
+        if rem:  # the subset-lcm table always divides here; a remainder is a bug
+            raise ArithmeticError(f"non-integral structure constant at ({k}, {m})")
+        return coeff, 0, k + m
+
+    def _shift(self, k):
+        return 2 * k
+
+    def _variable(self, k, m, latex):
+        if k == 0:
+            return ""
+        return (r"\gamma_{%d}" if latex else "g%d") % k
+
+    def _check_basis(self, k):
+        if not 0 <= k <= self.weights.n:
+            raise ValueError(f"generator index {k} out of range 0..{self.weights.n}")
 
     # -- elements ----------------------------------------------------------
 
-    def element(self, coeffs: dict) -> "KawasakiElement":
-        out = {}
-        for k, c in coeffs.items():
-            if not 0 <= k <= self.weights.n:
-                raise ValueError(f"generator index {k} out of range 0..{self.weights.n}")
-            if c:
-                out[k] = out.get(k, 0) + c
-        return KawasakiElement(self, {k: c for k, c in out.items() if c})
+    def element(self, coeffs: dict) -> KawasakiElement:
+        """Build an element from {generator index: coefficient}."""
+        return self._from_parts({k: {0: c} for k, c in coeffs.items()})
 
-    def gamma(self, k: int) -> "KawasakiElement":
+    def gamma(self, k: int) -> KawasakiElement:
         """The generator of degree 2k (index 0 is the unit)."""
         return self.element({k: 1})
 
-    def zero(self) -> "KawasakiElement":
-        return KawasakiElement(self, {})
-
-    def one(self) -> "KawasakiElement":
-        return self.element({0: 1})
-
-    def from_int(self, c: int) -> "KawasakiElement":
-        return self.element({0: c})
-
-    def gamma_product(self, k: int, m: int) -> "KawasakiElement":
+    def gamma_product(self, k: int, m: int) -> KawasakiElement:
         """Product of two generators: (ell_k ell_m / ell_{k+m}) times the
         degree-2(k+m) generator, or zero above the top degree."""
-        n = self.weights.n
-        if not (0 <= k <= n and 0 <= m <= n):
-            raise ValueError(f"generator indices must lie in 0..{n}")
-        if k + m > n:
-            return self.zero()
-        num = self.ell_table[k] * self.ell_table[m]
-        coeff, rem = divmod(num, self.ell_table[k + m])
-        if rem:  # the subset-lcm table always divides here; a remainder is a bug
-            raise ArithmeticError(f"non-integral structure constant at ({k}, {m})")
-        return self.element({k + m: coeff})
-
-    def multiply(self, x: "KawasakiElement", y: "KawasakiElement") -> "KawasakiElement":
-        self._check_element(x)
-        self._check_element(y)
-        out = self.zero()
-        for k, c1 in x.coeffs.items():
-            for m, c2 in y.coeffs.items():
-                out = out + self.gamma_product(k, m) * (c1 * c2)
-        return out
-
-    def _check_element(self, x):
-        if not isinstance(x, KawasakiElement) or x.ring.weights != self.weights:
-            raise ValueError("element does not belong to this ring")
+        return self.gamma(k) * self.gamma(m)
 
     # -- graded structure ----------------------------------------------------
 
@@ -190,17 +192,6 @@ class KawasakiRing:
             "use g1..g%d (u and sector generators live in the other rings)" % self.weights.n
         )
 
-    def __eq__(self, other):
-        if isinstance(other, KawasakiRing):
-            return self.weights == other.weights
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("kawasaki", self.weights))
-
-    def __repr__(self):
-        return f"KawasakiRing({self.weights!r})"
-
 
 @dataclass(frozen=True)
 class KawasakiPresentation:
@@ -210,86 +201,3 @@ class KawasakiPresentation:
     generators: tuple[tuple[str, int], ...]
     relations: tuple[tuple[int, int, "KawasakiElement"], ...]
     g1_power_spans: tuple[bool, ...]
-
-
-class KawasakiElement:
-    """Integer combination of the per-degree generators (index 0 = unit)."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: KawasakiRing, coeffs: dict):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self):
-        """2k when supported on a single generator index k, else None."""
-        if self.is_zero:
-            raise ValueError("the zero element has no degree")
-        degs = {2 * k for k in self.coeffs}
-        return degs.pop() if len(degs) == 1 else None
-
-    def __add__(self, other):
-        self.ring._check_element(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return self.ring.element(out)
-
-    def __neg__(self):
-        return self.ring.element({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.ring.element({k: other * c for k, c in self.coeffs.items()})
-        return self.ring.multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        """Square-and-multiply: about 2 log2(k) products."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponents must be non-negative integers")
-        out, base = self.ring.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, KawasakiElement):
-            return self.ring.weights == other.ring.weights and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring.weights, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        return f"<{self} in {self.ring!r}>"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            if k == 0:
-                body = str(abs(c))
-            else:
-                body = f"g{k}" if abs(c) == 1 else f"{abs(c)}g{k}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0]
-        first = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([first] + parts[1:])

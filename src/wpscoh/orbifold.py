@@ -4,15 +4,34 @@ For weights (b_0, ..., b_n) this is the quotient Z[u]/<N u^{n+1}> with
 N = b_0 ... b_n and deg(u) = 2: a single degree-2 generator whose
 (n+1)-st power is killed only after multiplication by N, leaving Z/N in
 every even degree above 2n.
+
+In the shape of ``algebra``: a Z[u]-module on the one basis element 1,
+in degree 0, with annihilator N u^{n+1} and structure constant 1 * 1 = 1.
 """
 
 from __future__ import annotations
 
 from .abelian import FgAbGroup, GradedGroups, ZERO, Z, cyclic
-from .arith import WeightVector, as_weights
+from .algebra import Algebra, Element, u_power
+from .arith import as_weights
 
 
-class OrbifoldRing:
+class OrbifoldElement(Element):
+    """An integer polynomial in u, reduced modulo N u^{n+1}.
+
+    Coefficients at exponents >= n+1 live in [0, N); lower ones are
+    arbitrary integers.  ``coeffs`` is {exponent: coefficient}.
+    """
+
+    __slots__ = ()
+    __pow__ = Element.__pow__  # its own name, for perfbench/tracing.py
+
+    @property
+    def coeffs(self) -> dict:
+        return self.parts.get(0, {})
+
+
+class OrbifoldRing(Algebra):
     """Z[u]/<N u^{n+1}> for a weight vector with product N.
 
     >>> R = OrbifoldRing((1, 2))
@@ -24,21 +43,29 @@ class OrbifoldRing:
     u^2
     """
 
-    __slots__ = ("weights", "N", "top")
+    __slots__ = ("N", "top")
+    _element_class = OrbifoldElement
+    _highest_first = True
 
     def __init__(self, weights):
         self.weights = as_weights(weights)
         self.N = self.weights.N
         self.top = self.weights.n + 1
 
+    def _raw_product(self, i, j):
+        return (1, 0, 0)
+
+    def _annihilator(self, j):
+        return (self.N, self.top)
+
+    def _variable(self, j, m, latex):
+        return u_power(m, latex)
+
     # -- element construction -------------------------------------------
 
-    def element(self, coeffs: dict) -> "OrbifoldElement":
-        """Build an element from {exponent: coefficient}, reduced to normal form."""
-        return OrbifoldElement(self, self._normalize(coeffs))
-
-    def normal_form(self, coeffs: dict) -> "OrbifoldElement":
-        """Reduce a raw integer polynomial in u modulo N u^{n+1}.
+    def element(self, coeffs: dict) -> OrbifoldElement:
+        """Build an element from {exponent: coefficient}: a raw integer
+        polynomial in u reduced modulo N u^{n+1}.
 
         Coefficients at exponents >= n+1 land in [0, N); lower ones are
         untouched.
@@ -46,44 +73,14 @@ class OrbifoldRing:
         >>> OrbifoldRing((1, 2)).normal_form({2: 4, 1: 3})
         <3u in Z[u]/<2u^2>>
         """
-        return self.element(coeffs)
+        return self._from_parts({0: coeffs})
 
-    def _normalize(self, coeffs: dict) -> dict:
-        out = {}
-        for m, c in coeffs.items():
-            if not isinstance(m, int) or m < 0:
-                raise ValueError(f"u-exponents must be non-negative integers, got {m!r}")
-            if m >= self.top:
-                c %= self.N
-            if c:
-                out[m] = out.get(m, 0) + c
-        return {m: c for m, c in out.items() if c}
+    normal_form = element
 
-    def zero(self) -> "OrbifoldElement":
-        return OrbifoldElement(self, {})
-
-    def one(self) -> "OrbifoldElement":
-        return self.from_int(1)
-
-    def from_int(self, c: int) -> "OrbifoldElement":
-        return self.element({0: c})
-
-    def u(self, power: int = 1, coeff: int = 1) -> "OrbifoldElement":
+    def u(self, power: int = 1, coeff: int = 1) -> OrbifoldElement:
         return self.element({power: coeff})
 
-    def multiply(self, x: "OrbifoldElement", y: "OrbifoldElement") -> "OrbifoldElement":
-        self._check_element(x)
-        self._check_element(y)
-        raw = {}
-        for m1, c1 in x.coeffs.items():
-            for m2, c2 in y.coeffs.items():
-                m = m1 + m2
-                raw[m] = raw.get(m, 0) + c1 * c2
-        return self.element(raw)
-
-    def _check_element(self, x):
-        if not isinstance(x, OrbifoldElement) or x.ring.weights != self.weights:
-            raise ValueError("element does not belong to this ring")
+    multiply = Algebra.multiply  # its own name, for perfbench/tracing.py
 
     # -- graded structure ------------------------------------------------
 
@@ -127,17 +124,6 @@ class OrbifoldRing:
             "groups": self.groups(max_degree).to_json(),
         }
 
-    def __eq__(self, other):
-        if isinstance(other, OrbifoldRing):
-            return self.weights == other.weights
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("orbifold", self.weights))
-
-    def __repr__(self):
-        return f"OrbifoldRing({self.weights!r})"
-
     def __str__(self):
         return f"Z[u]/<{self.N}u^{self.top}>"
 
@@ -161,95 +147,3 @@ def iso_check(a, b) -> bool:
     """
     wa, wb = as_weights(a), as_weights(b)
     return wa.n == wb.n and wa.N == wb.N
-
-
-class OrbifoldElement:
-    """An integer polynomial in u, reduced modulo N u^{n+1}.
-
-    Coefficients at exponents >= n+1 live in [0, N); lower ones are
-    arbitrary integers.  Value semantics: equal iff same ring and same
-    reduced coefficients.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: OrbifoldRing, coeffs: dict):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self):
-        """2 * exponent when homogeneous, None when monomials disagree.
-
-        Raises on the zero element, whose degree is undefined.
-        """
-        if self.is_zero:
-            raise ValueError("the zero element has no degree")
-        degs = {2 * m for m in self.coeffs}
-        return degs.pop() if len(degs) == 1 else None
-
-    def __add__(self, other):
-        self.ring._check_element(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return self.ring.element(out)
-
-    def __neg__(self):
-        return self.ring.element({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.ring.element({m: other * c for m, c in self.coeffs.items()})
-        return self.ring.multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int):
-        """Square-and-multiply: about 2 log2(k) products."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponents must be non-negative integers")
-        out, base = self.ring.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, OrbifoldElement):
-            return self.ring.weights == other.ring.weights and self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring.weights, tuple(sorted(self.coeffs.items()))))
-
-    def __repr__(self):
-        return f"<{self} in {self.ring}>"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for m in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[m]
-            if m == 0:
-                body = str(abs(c))
-            else:
-                var = "u" if m == 1 else f"u^{m}"
-                body = var if abs(c) == 1 else f"{abs(c)}{var}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        head = parts[0]
-        first = "-" + head[2:] if head.startswith("- ") else head[2:]
-        return " ".join([first] + parts[1:])

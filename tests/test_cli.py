@@ -291,3 +291,100 @@ def test_max_degree_fuzz(command, weights, degree, fmt):
     else:
         assert err.getvalue() == ""
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kawasaki", "--weights", "1,2"),
+        ("orbifold", "--weights", "1,2"),
+        ("chenruan", "--weights", "1,2", "--presentation"),
+        ("chenruan", "--weights", "1,2", "--multtable"),
+        ("kunneth", "--weights", "1", "--weights-b", "2"),
+    ],
+)
+def test_max_degree_limit(capsys, argv):
+    from wpscoh.cli import MAX_DEGREE_LIMIT
+
+    code, out, err = run_cli(capsys, *argv, "--max-degree", str(MAX_DEGREE_LIMIT))
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, *argv, "--max-degree", str(MAX_DEGREE_LIMIT + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: --max-degree {MAX_DEGREE_LIMIT + 1} is above the limit of {MAX_DEGREE_LIMIT}\n"
+    code, _, err = run_cli(capsys, *argv, "--max-degree", f"{2 * MAX_DEGREE_LIMIT + 1}/2")
+    assert code == 2 and "above the limit" in err
+
+
+@pytest.mark.parametrize("sections", [(), ("--presentation",), ("--multtable",)])
+def test_listed_products_are_bounded(capsys, sections):
+    # ell = 99991 passes the dense limit, but all 99990 twisted sectors are nonzero
+    code, out, err = run_cli(capsys, "chenruan", "--weights", "1,99991", *sections)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "99990 nonzero twisted sectors, more than the limit of 1000" in err
+
+
+def test_product_limit_boundary(capsys, monkeypatch):
+    monkeypatch.setattr("wpscoh.cli.PRODUCT_SECTOR_LIMIT", 3)
+    # (1,2,3) has 3 nonzero twisted sectors, (2,3,4) has 5
+    assert run_cli(capsys, "chenruan", "--weights", "1,2,3")[0] == 0
+    assert run_cli(capsys, "chenruan", "--weights", "1,2,3", "--multtable")[0] == 0
+    assert run_cli(capsys, "chenruan", "--weights", "2,3,4", "--multtable")[0] == 2
+    assert run_cli(capsys, "chenruan", "--weights", "2,3,4", "--sectors")[0] == 0
+    assert run_cli(capsys, "eval", "--weights", "2,3,4", "--ring", "chenruan", "a3*a4")[0] == 0
+
+
+_SYMBOLS = ["u", "g0", "g1", "g2", "a0", "a1", "a3", "a12", "7", "0", "12"]
+_BAD = ["", "x", "^", "u^^2", "(", ")", "2u", "a", "g", "--", "1/2", "u^-1", "é"]
+
+
+@st.composite
+def _expressions(draw, depth=0):
+    kind = draw(st.integers(0, 5 if depth < 3 else 1))
+    if kind == 0:
+        return draw(st.sampled_from(_SYMBOLS))
+    if kind == 1:
+        return draw(st.sampled_from(_SYMBOLS + _BAD))
+    if kind == 2:
+        return f"({draw(_expressions(depth + 1))})^{draw(st.integers(0, 6))}"
+    if kind == 3:
+        return "-" + draw(_expressions(depth + 1))
+    op = draw(st.sampled_from([" + ", " - ", "*"]))
+    return draw(_expressions(depth + 1)) + op + draw(_expressions(depth + 1))
+
+
+@st.composite
+def _argvs(draw):
+    weights = ",".join(map(str, draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))))
+    command = draw(st.sampled_from(["kawasaki", "orbifold", "chenruan", "kunneth", "eval", "check"]))
+    argv = [command, "--weights", weights, "--format", draw(st.sampled_from(["text", "json", "latex"]))]
+    if command in ("kawasaki", "orbifold", "chenruan", "kunneth") and draw(st.booleans()):
+        small = st.tuples(st.integers(0, 30), st.sampled_from(["", "/2", "/3"]))
+        over = st.tuples(st.sampled_from([4001, 4010, 10**9]), st.just(""))
+        argv += ["--max-degree", "%d%s" % draw(st.one_of(small, over))]
+    if command == "chenruan":
+        argv += draw(st.lists(st.sampled_from(["--sectors", "--presentation", "--multtable"]),
+                              max_size=3, unique=True))
+    if command == "kunneth":
+        argv += ["--weights-b", ",".join(map(str, draw(st.lists(st.integers(1, 12), min_size=1,
+                                                                 max_size=3))))]
+    if command == "eval":
+        argv += ["--ring", draw(st.sampled_from(["kawasaki", "orbifold", "chenruan"])),
+                 draw(_expressions())]
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None)
+def test_cli_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""

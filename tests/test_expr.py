@@ -179,3 +179,11 @@ def test_long_chains_evaluate_without_recursion():
     assert evaluate(parse("*".join(["u"] * 3000)), orb) == orb.u(3000)
     assert evaluate(parse("u" + " - u" * 2999), orb) == orb.u(coeff=-2998)
     assert evaluate(parse("2*u + 3*u*u - u^2"), orb) == orb.element({1: 2, 2: 2})
+
+
+def test_long_chains_unparse_without_recursion():
+    # compared as strings: the AST dataclasses' == and repr still recurse
+    assert unparse(parse("u+" * 3000 + "u")) == " + ".join(["u"] * 3001)
+    assert unparse(parse("u*" * 3000 + "u")) == "*".join(["u"] * 3001)
+    chain = "u - 2*a1" + " + 3*a2 - (u + 1)" * 1000
+    assert unparse(parse(chain)) == chain
