@@ -5,11 +5,23 @@ take --weights (comma-separated positive integers) and --format
 (text, json or latex); results go to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 failed invariant checks, 2 usage or parse
 errors.
+
+``main`` builds its argument parser on its first call and reuses it for
+every later call in the process, so an in-process caller pays for
+argparse once.
+
+Inputs whose output or work would grow without bound exit 2 with a
+one-line message: more than ``MAX_WEIGHTS`` weights in one vector, a
+``--max-degree`` above ``MAX_DEGREE_LIMIT``, a sector chart,
+presentation or ``check`` with more than ``DENSE_SECTOR_LIMIT`` sectors,
+and a presentation or multiplication table with more than
+``PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -30,6 +42,12 @@ from .verify import run_checks
 # table and eval see only the nonzero sectors.
 DENSE_SECTOR_LIMIT = 100_000
 
+# More weights than this in one vector are refused.  The coarse ring of
+# n + 1 weights lists n(n+1)/2 products and check multiplies (n+1)^3
+# triples of its generators; at this limit check takes about 2 s and
+# every default --max-degree 2(n+2) stays at most 256.
+MAX_WEIGHTS = 64
+
 # --max-degree above this is refused: every subcommand that takes it
 # lists each degree up to it, and kunneth's listing grows with its square.
 MAX_DEGREE_LIMIT = 4000
@@ -48,8 +66,13 @@ def _require_dense(ell: int, what: str) -> None:
 
 
 def _weights_arg(text: str) -> WeightVector:
+    parts = text.split(",")
+    if len(parts) > MAX_WEIGHTS:
+        raise argparse.ArgumentTypeError(
+            f"{len(parts)} weights, more than the limit of {MAX_WEIGHTS}"
+        )
     try:
-        return WeightVector(int(part) for part in text.split(","))
+        return WeightVector(int(part) for part in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"weights must be comma-separated positive integers: {exc}"
@@ -512,7 +535,14 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    Reuse is safe: every default is immutable, each parse fills a fresh
+    namespace, and argparse looks up sys.stdout and sys.stderr when it
+    writes, not when it is built.
+    """
     top = _ArgumentParser(
         prog="wpscoh",
         description="Exact cohomology rings of weighted projective quotients.",

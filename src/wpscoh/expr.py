@@ -16,8 +16,8 @@ target ring's business, checked at evaluation time.
 Parentheses and unary minus may nest at most ``MAX_NESTING`` deep;
 deeper input is a ParseError rather than a blown interpreter stack.
 Chains of + - * are loops in the parser, in ``unparse`` and in
-``evaluate``, so their length is not bounded.  The AST dataclasses'
-generated ``==`` and ``repr`` still recurse along such a chain.
+``evaluate``, and the inner AST nodes compare, hash and print by a loop
+over the tree, so the length of a chain is not bounded.
 """
 
 from __future__ import annotations
@@ -57,31 +57,82 @@ class Sym:
     pos: int = field(default=0, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Neg:
+class _Inner:
+    """Structural ``==``, ``hash`` and ``repr`` of an inner node.
+
+    The dataclass-generated methods would recurse once per level, so a
+    3000-term chain would exhaust the interpreter stack.  These walk the
+    tree with an explicit stack; ``==`` and ``repr`` give what the
+    generated methods give, and equal trees hash alike.
+    """
+
+    __slots__ = ()
+
+    def _preorder(self):
+        """The tree in preorder, each inner node as its type: two trees
+        are equal exactly when these lists are."""
+        flat, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, _Inner):
+                flat.append(type(x))
+                todo.extend(getattr(x, name) for name in x.__match_args__)
+            else:
+                flat.append(x)
+        return flat
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        # (is text, item) pairs; an item that is not text is a field value
+        out, todo = [], [(False, self)]
+        while todo:
+            is_text, x = todo.pop()
+            if is_text:
+                out.append(x)
+            elif isinstance(x, _Inner):
+                pieces = [(True, type(x).__name__ + "(")]
+                for k, name in enumerate(x.__match_args__):
+                    pieces += [(True, (", " if k else "") + name + "="),
+                               (False, getattr(x, name))]
+                pieces.append((True, ")"))
+                todo.extend(reversed(pieces))
+            else:
+                out.append(repr(x))
+        return "".join(out)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Inner):
     operand: object
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False, repr=False)
+class Add(_Inner):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sub(_Inner):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False, repr=False)
+class Mul(_Inner):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pow(_Inner):
     base: object
     exponent: int
 

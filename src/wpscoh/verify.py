@@ -14,8 +14,9 @@ coordinate (see ``chenruan``), and report their coverage:
   nonzero^3 (reduction commutes with multiplying by a monomial, so this
   is the same algebra the element path performs).  It is exhaustive when
   len(nonzero)^3 fits its budget of 2M triples and uniformly sampled
-  otherwise; a sampled cross-check through the element path guards the
-  equivalence.
+  otherwise.  A cross-check through the element path guards the
+  equivalence; it walks all of nonzero^3 up to 200 triples and samples
+  200 above, and is named "sampled element path" either way.
 - The lemma check: a sector that fixes no coordinate times any sector
   reduces to 0, in either order.  So every triple with a zero sector
   has both association orders zero, and with an exhaustive scan
@@ -132,6 +133,14 @@ def zero_sector_lemma(ring: CrRing, budget: int = 100_000, seed: int = 0):
             if survivor is not None:
                 return False, f"a{x}*a{y} = {survivor}, not 0, with a{i} fixing nothing"
     return True, detail
+
+
+def element_path_triples(nz, rng):
+    """Triples of sectors for the associativity check through elements:
+    all of nz^3 when that is at most 200 triples, else 200 uniform draws."""
+    if len(nz) ** 3 <= 200:
+        return list(itertools.product(nz, repeat=3))
+    return [tuple(rng.choice(nz) for _ in range(3)) for _ in range(200)]
 
 
 def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
@@ -275,8 +284,7 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
     ok, detail = zero_sector_lemma(cr, seed=seed)
     check("twisted product: a sector fixing no coordinate kills every product", ok, detail)
     ok = True
-    for _ in range(min(200, len(nz) ** 3)):
-        i, j, k = (rng.choice(nz) for _ in range(3))
+    for i, j, k in element_path_triples(nz, rng):
         lhs = cr.star(cr.star(cr_gens[i], cr_gens[j]), cr_gens[k])
         rhs = cr.star(cr_gens[i], cr.star(cr_gens[j], cr_gens[k]))
         if lhs != rhs:

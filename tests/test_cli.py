@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpscoh import cli
 from wpscoh.cli import main
 
 
@@ -388,3 +389,136 @@ def test_cli_fuzz(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+
+
+# -- the shared parser ----------------------------------------------------------
+
+
+def _call(argv):
+    """Exit code, stdout and stderr of one main call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# each call follows one that could leave state behind in a shared parser
+_LEAK_SEQUENCE = [
+    ["chenruan", "--weights", "1,2", "--sectors"],
+    ["chenruan", "--weights", "1,2"],
+    ["chenruan", "--weights", "1,2,3", "--multtable", "--format", "latex"],
+    ["chenruan", "--weights", "1,2,3", "--presentation"],
+    ["kawasaki", "--weights", "1,2,3", "--max-degree", "5"],
+    ["kawasaki", "--weights", "1,2,3"],
+    ["orbifold", "--weights", "2,2", "--format", "json"],
+    ["orbifold", "--weights", "2,2"],
+    ["kunneth", "--weights", "1,x", "--weights-b", "2"],
+    ["kunneth", "--weights", "1,2", "--weights-b", "2"],
+    ["eval", "--weights", "1,2", "--ring", "nowhere", "u"],
+    ["eval", "--weights", "1,2", "--ring", "kawasaki", "u"],
+    ["eval", "--weights", "1,2", "--ring", "chenruan", "a1*a1"],
+    ["check", "--weights", "1,2"],
+    ["orbifold", "--weights", "1,2", "--max-degree", "7/2"],
+    ["orbifold", "--weights", "1,2"],
+]
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    builds = []
+    init = cli._ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "wpscoh":
+            builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    for argv in _LEAK_SEQUENCE * 3:
+        _call(argv)
+    assert len(builds) == 1
+    assert cli._build_parser() is builds[0]
+
+
+def test_shared_parser_leaks_no_state_between_calls():
+    expected = []
+    for argv in _LEAK_SEQUENCE:
+        cli._build_parser.cache_clear()
+        expected.append(_call(argv))
+    assert {code for code, _, _ in expected} == {0, 2}
+
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    for argv, want in zip(_LEAK_SEQUENCE, expected):
+        assert _call(argv) == want, argv
+    assert cli._build_parser() is parser
+
+
+def test_usage_error_goes_to_the_current_stderr(capsys):
+    cli._build_parser.cache_clear()
+    assert _call(["orbifold", "--weights", "1,2"])[0] == 0  # built under other streams
+    with pytest.raises(SystemExit) as exc:
+        main(["orbifold", "--weights", "1,x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "wpscoh orbifold: error: argument --weights: weights must be "
+        "comma-separated positive integers: invalid literal for int() with base 10: 'x'\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: wpscoh")
+
+
+# -- the dimension bound ----------------------------------------------------------
+
+
+def _ones(k):
+    return ",".join(["1"] * k)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kawasaki", "--weights", "{}"),
+        ("orbifold", "--weights", "{}"),
+        ("chenruan", "--weights", "{}"),
+        ("kunneth", "--weights", "{}", "--weights-b", "2"),
+        ("kunneth", "--weights", "2", "--weights-b", "{}"),
+        ("eval", "--weights", "{}", "--ring", "kawasaki", "g1*g2"),
+        ("check", "--weights", "{}"),
+    ],
+)
+def test_weights_limit(argv):
+    limit = cli.MAX_WEIGHTS
+    if argv[0] != "check":  # check at the limit takes seconds; see the next test
+        code, out, err = _call([a.format(_ones(limit)) for a in argv])
+        assert code == 0 and out and err == ""
+    code, out, err = _call([a.format(_ones(limit + 1)) for a in argv])
+    flag = argv[argv.index("{}") - 1]
+    assert code == 2 and out == ""
+    assert err == (
+        f"wpscoh {argv[0]}: error: argument {flag}: "
+        f"{limit + 1} weights, more than the limit of {limit}\n"
+    )
+
+
+def test_weights_limit_boundary_for_check(monkeypatch):
+    monkeypatch.setattr(cli, "MAX_WEIGHTS", 3)
+    assert _call(["check", "--weights", "1,2,3"])[0] == 0
+    code, out, err = _call(["check", "--weights", "1,2,3,4"])
+    assert code == 2 and out == "" and "4 weights, more than the limit of 3" in err
+
+
+def test_default_degrees_stay_within_the_degree_limit(capsys):
+    # kunneth's default 2(n+2) is the largest: n counts both factors
+    wide = _ones(cli.MAX_WEIGHTS)
+    code, out, _ = run_cli(capsys, "kunneth", "--weights", wide, "--weights-b", wide)
+    top = 2 * (2 * (cli.MAX_WEIGHTS - 1) + 2)
+    assert code == 0 and f"up to degree {top}:" in out
+    assert top <= cli.MAX_DEGREE_LIMIT

@@ -182,8 +182,32 @@ def test_long_chains_evaluate_without_recursion():
 
 
 def test_long_chains_unparse_without_recursion():
-    # compared as strings: the AST dataclasses' == and repr still recurse
     assert unparse(parse("u+" * 3000 + "u")) == " + ".join(["u"] * 3001)
     assert unparse(parse("u*" * 3000 + "u")) == "*".join(["u"] * 3001)
     chain = "u - 2*a1" + " + 3*a2 - (u + 1)" * 1000
     assert unparse(parse(chain)) == chain
+
+
+def test_long_chains_compare_hash_and_print_without_recursion():
+    text = "u+" * 3000 + "u"
+    assert parse(text) == parse(text.replace("+", " + "))
+    assert parse(text) != parse(text[:-1] + "1")
+    assert parse(text) != parse("u-" + text[2:])
+    assert hash(parse(text)) == hash(parse(text.replace("+", " + ")))
+    leaf = "Sym(name='u')"
+    assert repr(parse(text)) == "Add(left=" * 3000 + leaf + f", right={leaf})" * 3000
+
+
+def test_inner_node_methods_match_the_generated_ones():
+    tree = parse("-(2*a1 - u^3)")
+    assert repr(tree) == (
+        "Neg(operand=Sub(left=Mul(left=Lit(value=2), right=Sym(name='a1')), "
+        "right=Pow(base=Sym(name='u'), exponent=3)))"
+    )
+    # leaf positions stay out of equality and hashing
+    assert tree == Neg(Sub(Mul(Lit(2), Sym("a1")), Pow(Sym("u"), 3)))
+    assert hash(tree) == hash(Neg(Sub(Mul(Lit(2), Sym("a1")), Pow(Sym("u"), 3))))
+    assert Add(Lit(1), Lit(2)) != Sub(Lit(1), Lit(2))
+    assert Pow(Sym("u"), 2) != Pow(Sym("u"), 3)
+    assert Neg(Lit(1)) != Lit(1) and Lit(1) != Neg(Lit(1))
+    assert len({Mul(Sym("u"), Lit(2)), Mul(Sym("u"), Lit(2)), Mul(Lit(2), Sym("u"))}) == 2

@@ -1,7 +1,9 @@
+import random
 import tracemalloc
 
 import pytest
 
+from wpscoh import verify
 from wpscoh.chenruan import CrRing
 from wpscoh.verify import run_checks, star_associativity_scan, zero_sector_lemma
 
@@ -71,3 +73,27 @@ def test_zero_sector_lemma_check_catches_a_dropped_excess(monkeypatch):
     assert not lemma.passed
     ok, detail = zero_sector_lemma(CrRing((4, 9, 14)))
     assert not ok and "fixing nothing" in detail
+
+
+@pytest.mark.parametrize("weights, distinct", [((1, 2), 8), ((1, 2, 2, 3, 3, 3), 64)])
+def test_element_path_walks_every_triple_when_cheap(monkeypatch, weights, distinct):
+    visited = []
+    choose = verify.element_path_triples
+
+    def recording(nz, rng):
+        triples = choose(nz, rng)
+        visited.extend(triples)
+        return triples
+
+    monkeypatch.setattr(verify, "element_path_triples", recording)
+    results = {r.name: r for r in run_checks(weights)}
+    assert results["twisted product: associative (sampled element path)"].passed
+    assert len(CrRing(weights).nonzero) ** 3 == distinct
+    assert len(visited) == len(set(visited)) == distinct
+
+
+def test_element_path_samples_above_its_budget():
+    nz = CrRing((5, 7, 9)).nonzero  # 19 nonzero sectors, 6859 triples
+    triples = verify.element_path_triples(nz, random.Random(1))
+    assert len(triples) == 200 and set(map(len, triples)) == {3}
+    assert set(x for t in triples for x in t) <= set(nz)
