@@ -14,7 +14,7 @@ Inputs whose output or work would grow without bound exit 2 with a
 one-line message: more than ``MAX_WEIGHTS`` weights in one vector, a
 ``--max-degree`` above ``MAX_DEGREE_LIMIT``, a sector chart,
 presentation or ``check`` with more than ``DENSE_SECTOR_LIMIT`` sectors,
-and a presentation or multiplication table with more than
+and a presentation, multiplication table or ``check`` with more than
 ``PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors.
 """
 
@@ -37,15 +37,15 @@ from .orbifold import OrbifoldRing
 from .verify import run_checks
 
 # Output with one column or generator per sector (the sector chart, the
-# presentation) and check, whose rotation-number checks walk every
-# sector, refuse rings with more sectors than this.  The multiplication
+# presentation) and check, whose residue walks cost ell / b per distinct
+# weight b, refuse rings with more sectors than this.  The multiplication
 # table and eval see only the nonzero sectors.
 DENSE_SECTOR_LIMIT = 100_000
 
 # More weights than this in one vector are refused.  The coarse ring of
-# n + 1 weights lists n(n+1)/2 products and check multiplies (n+1)^3
-# triples of its generators; at this limit check takes about 2 s and
-# every default --max-degree 2(n+2) stays at most 256.
+# n + 1 weights lists n(n+1)/2 products and check compares (n+1)^3
+# triples of its structure constants; at this limit check takes about
+# 0.3 s and every default --max-degree 2(n+2) stays at most 256.
 MAX_WEIGHTS = 64
 
 # --max-degree above this is refused: every subcommand that takes it
@@ -53,7 +53,8 @@ MAX_WEIGHTS = 64
 MAX_DEGREE_LIMIT = 4000
 
 # The presentation and the multiplication table list one product per
-# pair of nonzero twisted sectors; more sectors than this are refused.
+# pair of nonzero twisted sectors, and check walks those pairs; more
+# sectors than this are refused.
 PRODUCT_SECTOR_LIMIT = 1000
 
 
@@ -62,6 +63,15 @@ def _require_dense(ell: int, what: str) -> None:
         raise ValueError(
             f"{what} walks all ell = {ell} sectors, more than the limit of "
             f"{DENSE_SECTOR_LIMIT}; chenruan --multtable and eval still work"
+        )
+
+
+def _require_products(ring: CrRing, what: str) -> None:
+    twisted = len(ring.twisted_generator_indices())
+    if twisted > PRODUCT_SECTOR_LIMIT:
+        raise ValueError(
+            f"{what} products of {twisted} nonzero twisted sectors, "
+            f"more than the limit of {PRODUCT_SECTOR_LIMIT}"
         )
 
 
@@ -215,13 +225,8 @@ def _cmd_chenruan(args) -> int:
     sections = _chenruan_sections(args)
     if "sectors" in sections or "presentation" in sections:
         _require_dense(ring.ell, "the sector chart or presentation")
-    listed = "presentation" in sections or "multtable" in sections
-    twisted = len(ring.twisted_generator_indices())
-    if listed and twisted > PRODUCT_SECTOR_LIMIT:
-        raise ValueError(
-            f"the presentation and multiplication table list products of {twisted} "
-            f"nonzero twisted sectors, more than the limit of {PRODUCT_SECTOR_LIMIT}"
-        )
+    if "presentation" in sections or "multtable" in sections:
+        _require_products(ring, "the presentation and multiplication table list")
     max_degree = _max_degree(args, ring.weights.n)
 
     if args.format == "json":
@@ -501,6 +506,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check(args) -> int:
     _require_dense(args.weights.ell, "check")
+    _require_products(CrRing(args.weights), "check forms")
     results = run_checks(args.weights)
     ok = all(r.passed for r in results)
     if args.format == "json":

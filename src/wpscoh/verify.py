@@ -7,34 +7,55 @@ structure constants, multiplicativity of the comparison map,
 associativity and commutativity of the twisted product, agreement of
 the identity sector with the orbifold ring, and so on.
 
-Sector checks run over the ring's nonzero sectors, those that fix some
-coordinate (see ``chenruan``), and report their coverage:
+The twisted product is checked by the argument that makes it
+associative.  The sector ring is the unreduced ring, free over Z[u] on
+one a_j per sector with a_i a_j = coeff(i, j) u^power(i, j) a_{i+j},
+modulo the kernel spanned by the relations c_j u^{d_j} a_j (as in
+Goldin, Holm and Knutson, "Orbifold cohomology of torus quotients",
+2007).  Two facts about pairs, not triples, then make the quotient
+associative:
 
-- The associativity scan runs on plain integer structure constants over
-  nonzero^3 (reduction commutes with multiplying by a monomial, so this
-  is the same algebra the element path performs).  It is exhaustive when
-  len(nonzero)^3 fits its budget of 2M triples and uniformly sampled
-  otherwise.  A cross-check through the element path guards the
-  equivalence; it walks all of nonzero^3 up to 200 triples and samples
-  200 above, and is named "sampled element path" either way.
-- The lemma check: a sector that fixes no coordinate times any sector
-  reduces to 0, in either order.  So every triple with a zero sector
-  has both association orders zero, and with an exhaustive scan
-  associativity holds on all ell^3 triples.  It covers every pair whose
-  product lands in a nonzero sector (the others reduce to 0 by
-  definition), exhaustively up to 100k pairs and sampled beyond.
-- Commutativity and grading run over nonzero pairs, exhaustively up to
-  100k pairs and sampled beyond.
-- The rotation-number excess check runs, for each distinct weight b,
-  over residues mod ell / b; it is exhaustive for every ell.
+- The unreduced product associates.  Per coordinate, the excess
+  r(i) + r(j) - r(i+j) of the rotation numbers lies in {0, 1} and is a
+  coboundary, so both association orders collect the same weights and
+  the same power of u.
+- The kernel is an ideal: c_{i+j} divides coeff(i, j) c_j and
+  d_{i+j} <= power(i, j) + d_j for all sectors i and j.  The ideal check
+  tests this on all pairs of nonzero sectors (those that fix some
+  coordinate, see ``chenruan``).  For a zero sector j (c_j = 1,
+  d_j = 0) the lemma check covers it in two parts: every nonzero sector
+  t has c_t dividing the product of the weights t fixes and d_t at most
+  their count; and a coordinate fixed by i+j but not by j sits at
+  residues p - x and x with x != 0, mod p = ell / b, so its excess is 1
+  and its weight divides coeff(i, j).
+
+So the quotient associates on all ell^3 triples.  Every sector check is
+one exhaustive pass:
+
+- The rotation-number checks (periodicity, complements, the excess, and
+  the lemma's second part) walk, for each distinct weight b, the
+  residues mod ell / b: a weight-b coordinate's numerator b * j mod ell
+  depends on j mod ell / b only.
+- The ideal check walks nonzero^2 on integer structure constants.
+- Commutativity and grading share one walk over the unordered pairs of
+  nonzero generators, on the element path.
+- The unit and identity-sector checks run over the basis monomials
+  u^m a_j with m <= d_j; the product is bilinear, and past d_j it only
+  shifts exponents, so these cover every case.
+
+``star_associativity_scan``, the direct scan over triples of nonzero
+sectors, is kept as the test oracle for the ideal check; ``run_checks``
+does not call it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .arith import as_weights, rotation_number
 from .chenruan import CrRing
@@ -104,52 +125,50 @@ def star_associativity_scan(ring: CrRing, budget: int = 2_000_000, seed: int = 0
     return True, detail
 
 
-def zero_sector_lemma(ring: CrRing, budget: int = 100_000, seed: int = 0):
-    """Check that a_i * a_j and a_j * a_i reduce to 0 whenever sector i
-    fixes no coordinate.
-
-    Pairs whose product lands in a zero sector reduce to 0 by
-    definition, so the check runs over i outside ``nonzero`` and
-    j = t - i for t in ``nonzero``: exhaustive when those pairs fit the
-    budget, uniformly sampled otherwise.  Returns (ok, detail).
+def kernel_ideal_scan(ring: CrRing):
+    """Check that the kernel relations span an ideal on the nonzero
+    sectors: for all nonzero i and j, a_i times c_j u^{d_j} a_j lies in
+    the kernel of sector i+j, that is, c_{i+j} divides coeff(i, j) c_j
+    and d_{i+j} <= power(i, j) + d_j.  Returns (ok, detail).
     """
-    ell = ring.ell
     nz = ring.nonzero
-    zero = [i for i in range(ell) if ring.is_zero_generator(i)]
-    total = len(nz) * len(zero)
-    if total <= budget:
-        pairs = ((i, (t - i) % ell) for t in nz for i in zero)
-        detail = f"exhaustive over {total} pairs"
-    else:
-        rng = random.Random(seed)
-        pairs = (
-            (i, (rng.choice(nz) - i) % ell)
-            for i in (rng.choice(zero) for _ in range(budget))
-        )
-        detail = f"sampled {budget} of {total} pairs"
-    for i, j in pairs:
-        for x, y in ((i, j), (j, i)):
-            survivor = _reduce_raw(ring, *ring._raw_product(x, y))
-            if survivor is not None:
-                return False, f"a{x}*a{y} = {survivor}, not 0, with a{i} fixing nothing"
-    return True, detail
+    euler = {j: ring.euler(j) for j in nz}
+    for i in nz:
+        for j in nz:
+            coeff, power, t = ring._raw_product(i, j)
+            c, d = euler.get(t) or ring.euler(t)
+            cj, dj = euler[j]
+            if coeff * cj % c or d > power + dj:
+                return False, (
+                    f"a{i} * {cj}u^{dj}a{j} = {coeff * cj}u^{power + dj}a{t} "
+                    f"is outside the kernel {c}u^{d}a{t}"
+                )
+    return True, f"exhaustive over {len(nz) ** 2} nonzero pairs"
 
 
-def element_path_triples(nz, rng):
-    """Triples of sectors for the associativity check through elements:
-    all of nz^3 when that is at most 200 triples, else 200 uniform draws."""
-    if len(nz) ** 3 <= 200:
-        return list(itertools.product(nz, repeat=3))
-    return [tuple(rng.choice(nz) for _ in range(3)) for _ in range(200)]
+def zero_sector_lemma(ring: CrRing):
+    """The first part of the lemma: every nonzero sector t has c_t
+    dividing the product of the weights t fixes, and d_t at most their
+    count.  (The second part, excess 1 on the coordinates fixed by i+j
+    but not by j, is a residue walk in run_checks.)  Returns (ok, detail).
+    """
+    b = ring.weights.b
+    for t in ring.nonzero:
+        fixed = [bk for bk, r in zip(b, ring.rotations(t)) if r == 0]
+        c, d = ring.euler(t)
+        if math.prod(fixed) % c or d > len(fixed):
+            return False, f"sector {t} fixes {fixed}, but its Euler class is {c}u^{d}"
+    return True, f"exhaustive over {len(ring.nonzero)} nonzero sectors"
 
 
-def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
+def run_checks(weights):
     """All invariant checks for one weight vector, as CheckResult records."""
     w = as_weights(weights)
-    rng = random.Random(seed)
     kaw = KawasakiRing(w)
     orb = OrbifoldRing(w)
     cr = CrRing(w)
+    ell = cr.ell
+    nz = cr.nonzero
     results = []
 
     def check(name, passed, detail=""):
@@ -161,14 +180,32 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
         all(bk % w.g == 0 and w.ell % bk == 0 for bk in w.b),
     )
 
-    # rotation numbers: periodic, complements sum to an integer
-    ok = all(
-        rotation_number(bk, m + w.ell, w.ell) == rotation_number(bk, m, w.ell)
-        and rotation_number(bk, m, w.ell) + rotation_number(bk, w.ell - m, w.ell) in (0, 1)
-        for bk in w.b
-        for m in range(1, w.ell)
-    )
-    check("rotation numbers: periodic and complement-integral", ok)
+    # One walk per distinct weight b over the residues x mod p = ell / b.
+    # The weight-b numerator b * j mod ell depends on j mod p only and is
+    # b * x on the residues (checked here).  So the excess at sectors
+    # (i, j) is a function of x + y for their residues x, y, and one
+    # residue pair per sum covers all ell^2 pairs; the sum p is the pair
+    # (x, p - x), x != 0, of the lemma's second part.
+    periodic = excess_ok = complements = True
+    for b in sorted(set(w.b)):
+        k, p = w.b.index(b), ell // b
+        nums = [cr.rotations(x)[k] for x in range(p)]
+        excess_ok = excess_ok and nums == [b * x for x in range(p)]
+        for x in range(p):
+            rot = rotation_number(b, x, ell)
+            periodic = periodic and (
+                rot == Fraction(b * x, ell)
+                and rotation_number(b, x + p, ell) == rot
+                and rot + rotation_number(b, ell - x, ell) in (0, 1)
+            )
+        for total in range(2 * p - 1):
+            x = min(total, p - 1)
+            target = nums[total] if total < p else cr.rotations(total % ell)[k]
+            excess = nums[x] + nums[total - x] - target
+            excess_ok = excess_ok and excess in (0, ell)
+            complements = complements and (total != p or excess == ell)
+    residues = "exhaustive over residues mod ell/b"
+    check("rotation numbers: periodic and complement-integral", periodic, residues)
 
     # subset-lcm table divisibility (integer structure constants)
     ok = all(
@@ -178,10 +215,15 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
     )
     check("coarse ring: l_(k+m) divides l_k * l_m", ok)
 
-    # generator products associate
-    gens = [kaw.gamma(k) for k in range(w.n + 1)]
+    # generator products associate: g_k g_m = C(k, m) g_{k+m}, with C zero
+    # above the top, so compare C(k, m) C(k+m, q) with C(m, q) C(k, m+q)
+    span = range(2 * w.n + 1)
+    const = [[(kaw._raw_product(k, m) or (0,))[0] for m in span] for k in span]
     ok = all(
-        (x * y) * z == x * (y * z) for x in gens for y in gens for z in gens
+        const[k][m] * const[k + m][q] == const[m][q] * const[k][m + q]
+        for k in range(w.n + 1)
+        for m in range(w.n + 1)
+        for q in range(w.n + 1)
     )
     check("coarse ring: generator products associate", ok)
 
@@ -221,96 +263,58 @@ def run_checks(weights, seed: int = 20240601, triple_budget: int = 2_000_000):
     else:
         check("orbifold ring: (l_1 u)^top = 0", True, "trivial for n = 0")
 
-    # excess of rotation numbers is 0 or 1 on every coordinate.  A weight-b
-    # coordinate's numerator b * j mod ell depends on j mod p only, with
-    # p = ell / b, and equals b * x on the residues x < p (checked here).
-    # So the excess at sectors (i, j) is a function of x + y for their
-    # residues x, y, and one residue pair per sum covers all ell^2 pairs.
-    ell = cr.ell
-    ok = True
-    for b in sorted(set(w.b)):
-        k, p = w.b.index(b), ell // b
-        ok = ok and all(cr.rotations(x)[k] == b * x for x in range(p))
-        for total in range(2 * p - 1):
-            x = min(total, p - 1)
-            excess = (
-                cr.rotations(x)[k]
-                + cr.rotations(total - x)[k]
-                - cr.rotations(total % ell)[k]
-            )
-            if excess not in (0, ell):
-                ok = False
-    check(
-        "sectors: rotation-number excess lies in {0,1}",
-        ok,
-        "exhaustive over residues mod ell/b",
-    )
+    check("sectors: rotation-number excess lies in {0,1}", excess_ok, residues)
 
-    # sector pairs for the pairwise checks: nonzero generators only, as
-    # the lemma check below covers every product with a zero generator
-    nz = cr.nonzero
-    cr_gens = {j: cr.generator(j) for j in nz}
-    if len(nz) ** 2 <= 100_000:
-        pairs = [(i, j) for x, i in enumerate(nz) for j in nz[x:]]
-        pair_detail = f"exhaustive over {len(pairs)} nonzero pairs"
-    else:
-        pairs = [(rng.choice(nz), rng.choice(nz)) for _ in range(50_000)]
-        pair_detail = f"sampled {len(pairs)} nonzero pairs"
+    # one walk over the unordered pairs of nonzero generators: commutative,
+    # and degrees add when the product survives (in units of 1/ell, so the
+    # walk stays in integers)
+    gens = {j: cr.generator(j) for j in nz}
+    shift = {j: int(cr.sector(j).degree_shift * ell) for j in nz}
+    commutes = additive = True
+    for x, i in enumerate(nz):
+        for j in nz[x:]:
+            prod = cr.star(gens[i], gens[j])
+            commutes = commutes and prod == cr.star(gens[j], gens[i])
+            degrees = {2 * m * ell + shift[t] for t, poly in prod.parts.items() for m in poly}
+            additive = additive and degrees <= {shift[i] + shift[j]}
+    pairs = f"exhaustive over {len(nz) * (len(nz) + 1) // 2} nonzero pairs"
+    check("twisted product: commutative on generators", commutes, pairs)
 
-    # twisted product: commutative, unital
-    check(
-        "twisted product: commutative on generators",
-        all(cr.star(cr_gens[i], cr_gens[j]) == cr.star(cr_gens[j], cr_gens[i]) for i, j in pairs),
-        pair_detail,
-    )
-    samples = [
-        cr.element(
-            {
-                rng.choice(nz): {rng.randrange(w.n + 2): rng.randrange(-9, 10)}
-                for _ in range(3)
-            }
-        )
-        for _ in range(5)
-    ]
+    # the unit, on the basis monomials u^m a_j with m <= d_j
+    monomials = [cr.element({j: {m: 1}}) for j in nz for m in range(cr.euler(j)[1] + 1)]
     check(
         "twisted product: sector-0 generator is the unit",
-        all(cr.star(cr.one(), x) == x for x in [*cr_gens.values(), *samples]),
+        all(cr.star(cr.one(), x) == x for x in monomials),
+        f"exhaustive over {len(monomials)} basis monomials",
     )
 
-    # associativity: exhaustive on structure constants, sampled on
-    # elements; the lemma extends the scan to triples with a zero sector
-    ok, detail = star_associativity_scan(cr, budget=triple_budget, seed=seed)
-    check("twisted product: associative (structure-constant scan)", ok, detail)
-    ok, detail = zero_sector_lemma(cr, seed=seed)
-    check("twisted product: a sector fixing no coordinate kills every product", ok, detail)
-    ok = True
-    for i, j, k in element_path_triples(nz, rng):
-        lhs = cr.star(cr.star(cr_gens[i], cr_gens[j]), cr_gens[k])
-        rhs = cr.star(cr_gens[i], cr.star(cr_gens[j], cr_gens[k]))
-        if lhs != rhs:
-            ok = False
-    check("twisted product: associative (sampled element path)", ok)
+    # associativity: the kernel is an ideal on nonzero pairs, and on pairs
+    # with a zero sector by the lemma (see the module docstring)
+    ok, detail = kernel_ideal_scan(cr)
+    check("twisted product: associative (kernel relations span an ideal)", ok, detail)
+    ok, detail = zero_sector_lemma(cr)
+    check(
+        "twisted product: a sector fixing no coordinate kills every product",
+        ok and complements,
+        f"{detail} and residues mod ell/b" if ok else detail,
+    )
 
-    # degrees add when the product survives
-    ok = True
-    for i, j in pairs:
-        x, y = cr_gens[i], cr_gens[j]
-        p = cr.star(x, y)
-        if not p.is_zero and p.degree() != x.degree() + y.degree():
-            ok = False
-    check("grading: additive on surviving generator products", ok, pair_detail)
+    check("grading: additive on surviving generator products", additive, pairs)
 
-    # the identity sector is the orbifold ring
+    # the identity sector is the orbifold ring, on pairs of basis monomials
     s0 = cr.sector(0)
     ok = s0.c == w.N and s0.d == w.n + 1 and s0.degree_shift == 0
-    for _ in range(20):
-        pa = {rng.randrange(w.n + 2): rng.randrange(-9, 10) for _ in range(3)}
-        pb = {rng.randrange(w.n + 2): rng.randrange(-9, 10) for _ in range(3)}
-        lhs = cr.star(cr.element({0: pa}), cr.element({0: pb}))
-        rhs = orb.multiply(orb.element(pa), orb.element(pb))
-        if lhs.parts.get(0, {}) != rhs.coeffs:
-            ok = False
-    check("identity sector: agrees with the orbifold ring", ok)
+    exponents = range(w.n + 2)
+    for a in exponents:
+        for b in exponents:
+            lhs = cr.star(cr.u(a), cr.u(b))
+            if lhs.parts.get(0, {}) != orb.multiply(orb.u(a), orb.u(b)).coeffs:
+                ok = False
+    check(
+        "identity sector: agrees with the orbifold ring",
+        ok,
+        f"exhaustive over {len(exponents) ** 2} pairs of basis monomials",
+    )
 
     # sectors acting trivially on every coordinate are exactly the
     # multiples of ell/g, and they look like the identity sector

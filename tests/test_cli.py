@@ -198,6 +198,21 @@ def test_dense_limit_boundary(capsys, monkeypatch):
     assert run_cli(capsys, "check", "--weights", "1,2,4,3")[0] == 2
 
 
+def test_product_limit_boundary_for_check(capsys, monkeypatch):
+    # (1,2,3) has 3 nonzero twisted sectors, (2,3,4) has 5
+    monkeypatch.setattr("wpscoh.cli.PRODUCT_SECTOR_LIMIT", 3)
+    assert run_cli(capsys, "check", "--weights", "1,2,3")[0] == 0
+    code, out, err = run_cli(capsys, "check", "--weights", "2,3,4")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: check forms products of 5 nonzero twisted sectors, more than the limit of 3\n"
+    )
+    monkeypatch.undo()
+    # all 9972 twisted sectors of (1,9973) are nonzero
+    code, out, err = run_cli(capsys, "check", "--weights", "1,9973")
+    assert code == 2 and out == "" and "9972 nonzero twisted sectors" in err
+
+
 def test_kunneth_builds_the_product_groups_once(capsys, monkeypatch):
     from wpscoh import cli
 
@@ -496,9 +511,8 @@ def _ones(k):
 )
 def test_weights_limit(argv):
     limit = cli.MAX_WEIGHTS
-    if argv[0] != "check":  # check at the limit takes seconds; see the next test
-        code, out, err = _call([a.format(_ones(limit)) for a in argv])
-        assert code == 0 and out and err == ""
+    code, out, err = _call([a.format(_ones(limit)) for a in argv])
+    assert code == 0 and out and err == ""
     code, out, err = _call([a.format(_ones(limit + 1)) for a in argv])
     flag = argv[argv.index("{}") - 1]
     assert code == 2 and out == ""

@@ -1,11 +1,19 @@
-import random
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wpscoh import verify
 from wpscoh.chenruan import CrRing
-from wpscoh.verify import run_checks, star_associativity_scan, zero_sector_lemma
+from wpscoh.kawasaki import KawasakiRing
+from wpscoh.verify import (
+    kernel_ideal_scan,
+    run_checks,
+    star_associativity_scan,
+    zero_sector_lemma,
+)
 
 
 @pytest.mark.parametrize(
@@ -16,6 +24,9 @@ def test_all_checks_pass(weights):
     results = run_checks(weights)
     failures = [r for r in results if not r.passed]
     assert not failures, failures
+    for r in results:
+        if r.name.startswith(("rotation", "sectors", "twisted", "grading", "identity")):
+            assert r.detail.startswith("exhaustive over "), r
 
 
 def test_check_names_are_stable():
@@ -47,16 +58,41 @@ def test_sampled_scan_does_not_tabulate_all_pairs():
     assert peak < 10_000_000
 
 
+IDEAL = "twisted product: associative (kernel relations span an ideal)"
+LEMMA = "twisted product: a sector fixing no coordinate kills every product"
+
+
 @pytest.mark.parametrize("weights", [(5, 7, 9), (7, 9, 11), (4, 9, 14)])
 def test_scan_is_exhaustive_over_nonzero_sectors(weights):
     nonzero = len(CrRing(weights).nonzero)
     results = {r.name: r for r in run_checks(weights)}
-    scan = results["twisted product: associative (structure-constant scan)"]
+    scan = results[IDEAL]
     assert scan.passed
-    assert scan.detail == f"exhaustive over {nonzero**3} triples"
+    assert scan.detail == f"exhaustive over {nonzero**2} nonzero pairs"
 
 
-def test_zero_sector_lemma_check_catches_a_dropped_excess(monkeypatch):
+def test_run_checks_draws_no_random_numbers(monkeypatch):
+    monkeypatch.setattr(verify, "random", None)
+    assert all(r.passed for r in run_checks((4, 9, 14)))
+
+
+def test_residue_walks_read_the_rotation_numbers(monkeypatch):
+    rotations = CrRing.rotations
+
+    def off_by_one(ring, j):
+        nums = rotations(ring, j)
+        return (nums[0] + 1,) + nums[1:] if j == 1 else nums
+
+    monkeypatch.setattr(CrRing, "rotations", off_by_one)
+    results = {r.name: r for r in run_checks((2, 3, 5))}
+    assert not results["sectors: rotation-number excess lies in {0,1}"].passed
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "rotation_number", lambda b, m, ell: verify.Fraction(m, ell))
+    results = {r.name: r for r in run_checks((2, 3, 5))}
+    assert not results["rotation numbers: periodic and complement-integral"].passed
+
+
+def test_check_catches_a_dropped_excess(monkeypatch):
     original = CrRing._raw_product
 
     def drop_one_excess(ring, i, j):
@@ -69,31 +105,106 @@ def test_zero_sector_lemma_check_catches_a_dropped_excess(monkeypatch):
 
     monkeypatch.setattr(CrRing, "_raw_product", drop_one_excess)
     results = {r.name: r for r in run_checks((1, 2, 2, 3, 3, 3))}
-    lemma = results["twisted product: a sector fixing no coordinate kills every product"]
-    assert not lemma.passed
-    ok, detail = zero_sector_lemma(CrRing((4, 9, 14)))
-    assert not ok and "fixing nothing" in detail
+    assert not results[IDEAL].passed
+    ok, detail = kernel_ideal_scan(CrRing((4, 9, 14)))
+    assert not ok and "outside the kernel" in detail
 
 
-@pytest.mark.parametrize("weights, distinct", [((1, 2), 8), ((1, 2, 2, 3, 3, 3), 64)])
-def test_element_path_walks_every_triple_when_cheap(monkeypatch, weights, distinct):
-    visited = []
-    choose = verify.element_path_triples
+def test_coarse_associativity_reads_the_structure_constants(monkeypatch):
+    name = "coarse ring: generator products associate"
+    assert {r.name: r for r in run_checks((1, 2, 3, 4))}[name].passed
+    original = KawasakiRing._raw_product
 
-    def recording(nz, rng):
-        triples = choose(nz, rng)
-        visited.extend(triples)
-        return triples
+    def doubled(ring, k, m):
+        constant = original(ring, k, m)
+        return (2 * constant[0], 0, k + m) if (k, m) == (1, 2) else constant
 
-    monkeypatch.setattr(verify, "element_path_triples", recording)
-    results = {r.name: r for r in run_checks(weights)}
-    assert results["twisted product: associative (sampled element path)"].passed
-    assert len(CrRing(weights).nonzero) ** 3 == distinct
-    assert len(visited) == len(set(visited)) == distinct
+    monkeypatch.setattr(KawasakiRing, "_raw_product", doubled)
+    assert not {r.name: r for r in run_checks((1, 2, 3, 4))}[name].passed
+    ring = KawasakiRing((1, 2, 3, 4))
+    g1 = ring.gamma(1)
+    assert (g1 * g1) * g1 != g1 * (g1 * g1)  # the element path agrees
 
 
-def test_element_path_samples_above_its_budget():
-    nz = CrRing((5, 7, 9)).nonzero  # 19 nonzero sectors, 6859 triples
-    triples = verify.element_path_triples(nz, random.Random(1))
-    assert len(triples) == 200 and set(map(len, triples)) == {3}
-    assert set(x for t in triples for x in t) <= set(nz)
+# -- Euler-class mutants ---------------------------------------------------------
+
+def _smallest_prime(c):
+    return next(p for p in range(2, c + 1) if c % p == 0)
+
+
+MUTATIONS = {
+    "d+1": lambda c, d: (c, d + 1),
+    "d-1": lambda c, d: (c, d - 1),
+    "2c": lambda c, d: (2 * c, d),
+    "c/p": lambda c, d: (c // _smallest_prime(c), d),
+}
+
+
+def _mutants(weights):
+    """(sector, mutation) for each mutation of each nonzero twisted sector's
+    Euler class; c/p only where c has a prime factor."""
+    ring = CrRing(weights)
+    return [
+        (t, kind)
+        for t in ring.twisted_generator_indices()
+        for kind in MUTATIONS
+        if kind != "c/p" or ring.euler(t)[0] > 1
+    ]
+
+
+def _mutate(monkeypatch, t, kind):
+    original = CrRing.euler
+
+    def euler(ring, j):
+        c, d = original(ring, j)
+        return MUTATIONS[kind](c, d) if j == t else (c, d)
+
+    monkeypatch.setattr(CrRing, "euler", euler)
+    monkeypatch.setattr(CrRing, "_annihilator", euler)
+
+
+MUTANT_VECTORS = [(4, 9, 14), (1, 2, 2, 3, 3, 3), (2, 3, 4), (6, 10, 15), (5, 7, 9)]
+
+
+def test_check_fails_every_euler_class_mutant():
+    killed = 0
+    for weights in MUTANT_VECTORS:
+        for t, kind in _mutants(weights):
+            with pytest.MonkeyPatch.context() as mp:
+                _mutate(mp, t, kind)
+                results = run_checks(weights)
+            assert not all(r.passed for r in results), (weights, t, kind)
+            killed += 1
+    assert killed == 280
+
+
+def _ideal_argument_implies_the_scan(weights):
+    """Under each mutant and without one: where the lemma's Euler-class
+    part and the ideal check pass, the triple scan passes too."""
+    for case in [None, *_mutants(weights)]:
+        with pytest.MonkeyPatch.context() as mp:
+            if case:
+                _mutate(mp, *case)
+            ring = CrRing(weights)
+            if zero_sector_lemma(ring)[0] and kernel_ideal_scan(ring)[0]:
+                assert star_associativity_scan(ring)[0], (weights, case)
+            else:
+                assert case is not None, weights
+
+
+# every weight vector with n <= 4 and entries <= 6, as in tests/test_acceptance.py
+CORPUS = [
+    ms for size in range(1, 6) for ms in combinations_with_replacement(range(1, 7), size)
+]
+
+
+def test_ideal_argument_agrees_with_the_scan_on_the_corpus():
+    for weights in CORPUS:
+        _ideal_argument_implies_the_scan(weights)
+
+
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+@settings(max_examples=20, deadline=None)
+def test_ideal_argument_agrees_with_the_scan(weights):
+    assume(len(CrRing(weights).nonzero) ** 3 <= 2_000_000)
+    _ideal_argument_implies_the_scan(weights)
