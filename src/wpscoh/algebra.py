@@ -26,6 +26,14 @@ the normal form, square-and-multiply and the printer exist here once.
 
 from __future__ import annotations
 
+# A product walks each pair of a monomial of x and a monomial of y whose
+# basis elements multiply to nonzero.  A product of more pairs than this,
+# about a quarter of a second of work, raises ValueError.  Without it a
+# short expression such as (1+u+u^2+u^3)^4000 runs for seconds, and each
+# doubling of the exponent makes it four times slower.  A power of one
+# monomial, such as u^1000000000000, walks one pair per product.
+MAX_PRODUCT_PAIRS = 1_000_000
+
 
 def u_power(m: int, latex: bool = False) -> str:
     """u^m as it is printed: empty for m = 0, braced exponents in LaTeX."""
@@ -118,15 +126,24 @@ class Algebra:
     def multiply(self, x: "Element", y: "Element") -> "Element":
         """Bilinear extension of the basis products; per pair of basis
         elements the u-polynomials are convolved and shifted by the
-        structure constant's u-power."""
+        structure constant's u-power.  Raises ValueError past
+        ``MAX_PRODUCT_PAIRS`` pairs of monomials."""
         self._check_element(x)
         self._check_element(y)
         raw: dict = {}
+        pairs = 0
         for i, pi in x.parts.items():
             for j, pj in y.parts.items():
                 constant = self._raw_product(i, j)
                 if constant is None:
                     continue
+                pairs += len(pi) * len(pj)
+                if pairs > MAX_PRODUCT_PAIRS:
+                    sizes = [sum(map(len, z.parts.values())) for z in (x, y)]
+                    raise ValueError(
+                        "a product of %d by %d monomials is above the limit of %d "
+                        "monomial pairs" % (*sizes, MAX_PRODUCT_PAIRS)
+                    )
                 coeff, power, target = constant
                 bucket = raw.setdefault(target, {})
                 for m1, c1 in pi.items():

@@ -6,6 +6,15 @@ take --weights (comma-separated positive integers) and --format
 Exit codes: 0 success, 1 failed invariant checks, 2 usage or parse
 errors.
 
+Each subcommand builds one document: a dict of library values
+(elements, groups, sector records, check results, weight vectors,
+fractions).  ``--format json`` prints that document, and ``_json_value``
+says how each library value serialises.  Text and LaTeX are views of
+it: one renderer per subcommand and format, named beside its handler in
+the parser, each reading only the document.  LaTeX leaves out the graded groups, the group listings and
+the torsion witness, so a LaTeX document does not compute them.
+``main`` is the only place that prints a result or picks the exit code.
+
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the process, so an in-process caller pays for
 argparse once.
@@ -14,8 +23,9 @@ Inputs whose output or work would grow without bound exit 2 with a
 one-line message: more than ``MAX_WEIGHTS`` weights in one vector, a
 ``--max-degree`` above ``MAX_DEGREE_LIMIT``, a sector chart,
 presentation or ``check`` with more than ``DENSE_SECTOR_LIMIT`` sectors,
-and a presentation, multiplication table or ``check`` with more than
-``PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors.
+a presentation, multiplication table or ``check`` with more than
+``PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors, and an ``eval``
+product of more than ``algebra.MAX_PRODUCT_PAIRS`` monomial pairs.
 """
 
 from __future__ import annotations
@@ -25,16 +35,18 @@ import functools
 import json
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import monomial, u_power
+from .abelian import GradedGroups
+from .algebra import Element, monomial, u_power
 from .arith import WeightVector
-from .chenruan import CrRing
+from .chenruan import CrRing, KernelRelation, ProductRelation, SectorData
 from .expr import EvalError, ParseError, evaluate, parse
 from .kawasaki import KawasakiRing
 from .kunneth import product_groups
 from .orbifold import OrbifoldRing
-from .verify import run_checks
+from .verify import CheckResult, run_checks
 
 # Output with one column or generator per sector (the sector chart, the
 # presentation) and check, whose residue walks cost ell / b per distinct
@@ -125,8 +137,70 @@ def _integral_max_degree(args, n: int) -> int:
     return int(value)
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+# -- document values and their JSON form ------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Graded:
+    """CrRing.graded_dimensions up to max_degree, read as a GradedGroups is.
+
+    Its pairs come sorted; a GradedGroups would sort them again, which
+    costs as much as a tenth of graded_dimensions at deep degrees.
+    """
+
+    max_degree: Fraction
+    pairs: list
+
+    def items(self):
+        return self.pairs
+
+
+def _json_value(x):
+    """A document, or any value in it, in JSON types: containers item by
+    item, and each library value by its type."""
+    if x is None or isinstance(x, (str, int)):
+        return x
+    if isinstance(x, dict):
+        return {key: _json_value(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(value) for value in x]
+    if isinstance(x, (Fraction, Element, KernelRelation)):
+        return str(x)
+    if isinstance(x, GradedGroups):
+        return x.to_json()
+    if isinstance(x, _Graded):
+        # chenruan prints every degree as p/q, the integral ones too
+        return [{"degree": str(d), "group": g.to_json()} for d, g in x.pairs]
+    if isinstance(x, WeightVector):
+        return list(x.b)
+    if isinstance(x, SectorData):
+        return {
+            "j": x.j,
+            "a": [str(a) for a in x.a],
+            "fixed": x.fixed,
+            "euler": {"coefficient": x.c, "exponent": x.d},
+            "degree_shift": str(x.degree_shift),
+        }
+    if isinstance(x, ProductRelation):
+        return {"i": x.i, "j": x.j, "product": str(x.product)}
+    if isinstance(x, CheckResult):
+        return {"name": x.name, "passed": x.passed, "detail": x.detail}
+    raise TypeError(f"no JSON form for {type(x).__name__}")
+
+
+# -- shared pieces of the views -------------------------------------------------
+
+
+def _join(blocks) -> str:
+    """Blocks separated by a blank line; empty blocks are left out."""
+    return "\n\n".join(block for block in blocks if block)
+
+
+def _listing(groups) -> list:
+    """The "groups by degree" lines of a GradedGroups or a _Graded."""
+    return [f"groups by degree (up to {groups.max_degree}):"] + [
+        f"  degree {d}: {g}" for d, g in groups.items()
+    ]
 
 
 def _table(rows) -> str:
@@ -145,19 +219,21 @@ _LOCUS_TEXT = ("C^%d", "{0}", "C_(%d)")
 _LOCUS_LATEX = (r"\mathbb{C}^{%d}", r"\{0\}", r"\mathbb{C}_{(%d)}")
 
 
-def _fixed_locus_label(ring: CrRing, j: int, tokens=_LOCUS_TEXT) -> str:
-    """The fixed locus of sector j, e.g. ``C^3``, ``{0}`` or ``2C_(2)+C_(3)``."""
+def _locus(weights: WeightVector, fixed, tokens) -> str:
     whole, origin, line = tokens
-    s = ring.sectors[j]
-    n = ring.weights.n
-    if len(s.fixed) == n + 1:
-        return whole % (n + 1)
-    if not s.fixed:
+    if len(fixed) == len(weights):
+        return whole % len(weights)
+    if not fixed:
         return origin
-    counts = Counter(ring.weights.b[k] for k in s.fixed)
+    counts = Counter(weights.b[k] for k in fixed)
     return "+".join(
         (str(m) if m > 1 else "") + line % w for w, m in sorted(counts.items())
     )
+
+
+def _fixed_locus_label(ring: CrRing, j: int, tokens=_LOCUS_TEXT) -> str:
+    """The fixed locus of sector j, e.g. ``C^3``, ``{0}`` or ``2C_(2)+C_(3)``."""
+    return _locus(ring.weights, ring.sectors[j].fixed, tokens)
 
 
 def _euler_label(c: int, d: int, latex: bool = False) -> str:
@@ -165,12 +241,12 @@ def _euler_label(c: int, d: int, latex: bool = False) -> str:
     return monomial(c, u_power(d, latex))
 
 
-def _sector_rows(ring: CrRing, latex: bool = False):
+def _sector_rows(doc, latex: bool = False):
     """(label, per-sector cells) rows of the sector chart."""
-    ell, b = ring.ell, ring.weights.b
+    weights, sectors = doc["weights"], doc["sectors"]
     if latex:
         locus = _LOCUS_LATEX
-        labels = ("g", r"(\mathbb{C}^{%d})^g" % (ring.weights.n + 1),
+        labels = ("g", r"(\mathbb{C}^{%d})^g" % len(weights),
                   r"2\cdot\mathrm{age}(g)", r"\text{generator}", "e(g)")
         sector, rotation, generator = r"\zeta_{%d}", r"a_{\mathbb{C}_{(%d)}}(g)", r"\alpha_{%d}"
     else:
@@ -178,25 +254,21 @@ def _sector_rows(ring: CrRing, latex: bool = False):
         labels = ("sector", "fixed locus", "2*age", "generator", "euler class")
         sector, rotation, generator = "zeta_%d", "a_(%d)", "a%d"
     rows = [
-        (labels[0], [sector % j for j in range(ell)]),
-        (labels[1], [_fixed_locus_label(ring, j, locus) for j in range(ell)]),
+        (labels[0], [sector % s.j for s in sectors]),
+        (labels[1], [_locus(weights, s.fixed, locus) for s in sectors]),
     ]
-    for w in sorted(set(b)):
-        k = b.index(w)
-        rows.append((rotation % w, [_fr(s.a[k], latex) for s in ring.sectors]))
-    rows.append((labels[2], [_fr(s.degree_shift, latex) for s in ring.sectors]))
-    rows.append((labels[3], [generator % j for j in range(ell)]))
-    rows.append((labels[4], [_euler_label(s.c, s.d, latex) for s in ring.sectors]))
+    for w in sorted(set(weights.b)):
+        k = weights.b.index(w)
+        rows.append((rotation % w, [_fr(s.a[k], latex) for s in sectors]))
+    rows.append((labels[2], [_fr(s.degree_shift, latex) for s in sectors]))
+    rows.append((labels[3], [generator % s.j for s in sectors]))
+    rows.append((labels[4], [_euler_label(s.c, s.d, latex) for s in sectors]))
     return rows
 
 
-def _sector_table_text(ring: CrRing) -> str:
-    return _table([[label] + cells for label, cells in _sector_rows(ring)])
-
-
-def _sector_table_latex(ring: CrRing) -> str:
-    (label, cells), *rows = _sector_rows(ring, latex=True)
-    lines = [r"\begin{array}{c||%s}" % "|".join("c" * ring.ell)]
+def _sector_table_latex(doc) -> str:
+    (label, cells), *rows = _sector_rows(doc, latex=True)
+    lines = [r"\begin{array}{c||%s}" % "|".join("c" * doc["ell"])]
     lines.append(" & ".join([label] + cells) + r" \\")
     lines.append(r"\hline\hline")
     lines.extend(" & ".join([label] + cells) + r" \\ \hline" for label, cells in rows)
@@ -207,328 +279,249 @@ def _sector_table_latex(ring: CrRing) -> str:
 # -- chenruan ----------------------------------------------------------------
 
 
-def _chenruan_sections(args):
-    chosen = [
-        name
-        for name, flag in (
-            ("sectors", args.sectors),
-            ("presentation", args.presentation),
-            ("multtable", args.multtable),
-        )
-        if flag
-    ]
-    return chosen or ["sectors", "presentation"]
-
-
-def _cmd_chenruan(args) -> int:
+def _cmd_chenruan(args) -> dict:
     ring = CrRing(args.weights)
-    sections = _chenruan_sections(args)
-    if "sectors" in sections or "presentation" in sections:
+    sections = {s for s in ("sectors", "presentation", "multtable") if getattr(args, s)}
+    sections = sections or {"sectors", "presentation"}
+    if sections & {"sectors", "presentation"}:
         _require_dense(ring.ell, "the sector chart or presentation")
-    if "presentation" in sections or "multtable" in sections:
+    if sections & {"presentation", "multtable"}:
         _require_products(ring, "the presentation and multiplication table list")
     max_degree = _max_degree(args, ring.weights.n)
 
-    if args.format == "json":
-        doc: dict = {"weights": list(ring.weights.b), "ell": ring.ell}
-        if "sectors" in sections:
-            doc["sectors"] = [
-                {
-                    "j": s.j,
-                    "a": [_fr(a) for a in s.a],
-                    "fixed": list(s.fixed),
-                    "euler": {"coefficient": s.c, "exponent": s.d},
-                    "degree_shift": _fr(s.degree_shift),
-                }
-                for s in ring.sectors
-            ]
-        if "presentation" in sections:
-            pres = ring.presentation()
-            doc["generators"] = [
-                {"name": name, "degree": _fr(deg)} for name, deg in pres.generators
-            ]
-            doc["relations"] = {
-                "J": [str(rel) for rel in pres.kernel_relations],
-                "I": [
-                    {"i": rel.i, "j": rel.j, "product": str(rel.product)}
-                    for rel in pres.product_relations
-                ],
-            }
-            doc["graded"] = [
-                {"degree": _fr(deg), "group": grp.to_json()}
-                for deg, grp in ring.graded_dimensions(max_degree)
-            ]
-        if "multtable" in sections:
-            doc["mult_table"] = [
-                {"i": i, "j": j, "product": str(prod)}
-                for (i, j), prod in sorted(ring.mult_table().items())
-            ]
-        print(_dump_json(doc))
-        return 0
-
-    if args.format == "latex":
-        blocks = []
-        if "sectors" in sections:
-            blocks.append(_sector_table_latex(ring))
-        if "presentation" in sections:
-            pres = ring.presentation()
-            gens = ", ".join(
-                "u" if name == "u" else r"\alpha_{%s}" % name[1:]
-                for name, _ in pres.generators
-            )
-            rels = ", ".join(
-                rel.element.render(latex=True) for rel in pres.kernel_relations
-            )
-            blocks.append(
-                r"\mathbb{Z}[%s]/(\mathcal{I} + \langle %s \rangle)" % (gens, rels)
-            )
-            blocks.append(
-                "\n".join(
-                    r"\alpha_{%d}\alpha_{%d} = %s \\" % (rel.i, rel.j, rel.product.render(latex=True))
-                    for rel in pres.product_relations
-                )
-            )
-        if "multtable" in sections:
-            blocks.append(
-                "\n".join(
-                    r"\alpha_{%d} \star \alpha_{%d} = %s \\" % (i, j, prod.render(latex=True))
-                    for (i, j), prod in sorted(ring.mult_table().items())
-                )
-            )
-        print("\n\n".join(blocks))
-        return 0
-
-    blocks = []
+    doc = {"weights": ring.weights, "ell": ring.ell}
     if "sectors" in sections:
-        blocks.append(f"sector data for weights {ring.weights} (ell = {ring.ell})")
-        blocks.append(_sector_table_text(ring))
+        doc["sectors"] = list(ring.sectors)
     if "presentation" in sections:
         pres = ring.presentation()
-        if ring.ell == 1:
-            header = "presentation: Z[u] modulo"
-        elif ring.ell == 2:
-            header = "presentation: Z[u, a1] modulo"
-        else:
-            header = "presentation: Z[u, a1..a%d] modulo" % (ring.ell - 1)
-        lines = [header]
-        lines.append("  kernel relations: " + ", ".join(str(r) for r in pres.kernel_relations))
-        if pres.product_relations:
-            lines.append("  product relations:")
-            lines.extend(f"    {rel}" for rel in pres.product_relations)
-        lines.append("generator degrees:")
-        lines.extend(f"  {name}: degree {_fr(deg)}" for name, deg in pres.generators)
-        lines.append(f"groups by degree (up to {_fr(max_degree)}):")
-        lines.extend(
-            f"  degree {_fr(deg)}: {grp}" for deg, grp in ring.graded_dimensions(max_degree)
-        )
-        blocks.append("\n".join(lines))
+        doc["generators"] = [{"name": name, "degree": deg} for name, deg in pres.generators]
+        doc["relations"] = {"J": pres.kernel_relations, "I": pres.product_relations}
+        if args.format != "latex":
+            doc["graded"] = _Graded(max_degree, ring.graded_dimensions(max_degree))
     if "multtable" in sections:
+        # the presentation's product relations are the multiplication table
+        doc["mult_table"] = doc["relations"]["I"] if "relations" in doc else [
+            ProductRelation(i, j, prod) for (i, j), prod in sorted(ring.mult_table().items())
+        ]
+    return doc
+
+
+def _chenruan_text(doc) -> str:
+    blocks = []
+    if "sectors" in doc:
+        blocks.append(f"sector data for weights {doc['weights']} (ell = {doc['ell']})")
+        blocks.append(_table([[label] + cells for label, cells in _sector_rows(doc)]))
+    if "generators" in doc:
+        names = [g["name"] for g in doc["generators"]]
+        variables = ", ".join(names) if len(names) <= 2 else f"u, a1..{names[-1]}"
+        relations = doc["relations"]
+        lines = [f"presentation: Z[{variables}] modulo"]
+        lines.append("  kernel relations: " + ", ".join(map(str, relations["J"])))
+        if relations["I"]:
+            lines.append("  product relations:")
+            lines.extend(f"    {rel}" for rel in relations["I"])
+        lines.append("generator degrees:")
+        lines.extend(f"  {g['name']}: degree {g['degree']}" for g in doc["generators"])
+        blocks.append("\n".join(lines + _listing(doc["graded"])))
+    if "mult_table" in doc:
         lines = ["multiplication table (nonzero twisted generators):"]
-        lines.extend(
-            f"  a{i}*a{j} = {prod}" for (i, j), prod in sorted(ring.mult_table().items())
+        blocks.append("\n".join(lines + [f"  {rel}" for rel in doc["mult_table"]]))
+    return _join(blocks)
+
+
+def _products_latex(relations, op: str) -> str:
+    return "\n".join(
+        r"\alpha_{%d}%s\alpha_{%d} = %s \\" % (rel.i, op, rel.j, rel.product.render(latex=True))
+        for rel in relations
+    )
+
+
+def _chenruan_latex(doc) -> str:
+    blocks = []
+    if "sectors" in doc:
+        blocks.append(_sector_table_latex(doc))
+    if "generators" in doc:
+        gens = ", ".join(
+            "u" if g["name"] == "u" else r"\alpha_{%s}" % g["name"][1:] for g in doc["generators"]
         )
-        blocks.append("\n".join(lines))
-    print("\n\n".join(blocks))
-    return 0
+        rels = ", ".join(rel.element.render(latex=True) for rel in doc["relations"]["J"])
+        blocks.append(r"\mathbb{Z}[%s]/(\mathcal{I} + \langle %s \rangle)" % (gens, rels))
+        blocks.append(_products_latex(doc["relations"]["I"], ""))
+    if "mult_table" in doc:
+        blocks.append(_products_latex(doc["mult_table"], r" \star "))
+    return _join(blocks)
 
 
 # -- kawasaki -------------------------------------------------------------------
 
 
-def _cmd_kawasaki(args) -> int:
+def _cmd_kawasaki(args) -> dict:
     ring = KawasakiRing(args.weights)
-    n = ring.weights.n
-    max_degree = _integral_max_degree(args, n)
+    max_degree = _integral_max_degree(args, ring.weights.n)
     pres = ring.presentation()
+    doc = {
+        "weights": ring.weights,
+        "ell": ring.ell_table,
+        "generators": [{"name": name, "degree": deg} for name, deg in pres.generators],
+        "relations": [{"i": k, "j": m, "product": prod} for k, m, prod in pres.relations],
+        "g1_power_spans": pres.g1_power_spans,
+    }
+    if args.format != "latex":
+        doc["groups"] = ring.groups(max_degree)
+    return doc
 
-    if args.format == "json":
-        doc = {
-            "weights": list(ring.weights.b),
-            "ell": list(ring.ell_table),
-            "generators": [{"name": name, "degree": deg} for name, deg in pres.generators],
-            "relations": [
-                {"i": k, "j": m, "product": str(prod)} for k, m, prod in pres.relations
-            ],
-            "g1_power_spans": list(pres.g1_power_spans),
-            "groups": ring.groups(max_degree).to_json(),
-        }
-        print(_dump_json(doc))
-        return 0
 
-    if args.format == "latex":
-        lines = [
-            r"\ell\text{-table}: (%s)" % ", ".join(map(str, ring.ell_table)),
-            r"\text{generators: } "
-            + ", ".join(r"\gamma_{%d} \ (\deg %d)" % (k, 2 * k) for k in range(1, n + 1)),
-        ]
-        lines.extend(
-            r"\gamma_{%d}\gamma_{%d} = %s \\" % (k, m, prod.render(latex=True))
-            for k, m, prod in pres.relations
-        )
-        print("\n".join(lines))
-        return 0
-
-    lines = [f"coarse-space cohomology ring for weights {ring.weights}"]
-    lines.append("ell table: " + ", ".join(f"l_{k} = {v}" for k, v in enumerate(ring.ell_table)))
-    if n:
-        lines.append("generators: " + ", ".join(f"g{k} (degree {2 * k})" for k in range(1, n + 1)))
+def _kawasaki_text(doc) -> str:
+    lines = [f"coarse-space cohomology ring for weights {doc['weights']}"]
+    lines.append("ell table: " + ", ".join(f"l_{k} = {v}" for k, v in enumerate(doc["ell"])))
+    if doc["generators"]:
+        lines.append("generators: " + ", ".join(
+            f"{g['name']} (degree {g['degree']})" for g in doc["generators"]
+        ))
         lines.append("product relations:")
-        lines.extend(f"  g{k}*g{m} = {prod}" for k, m, prod in pres.relations)
+        lines.extend(f"  g{r['i']}*g{r['j']} = {r['product']}" for r in doc["relations"])
         spans = ", ".join(
             f"degree {2 * k}: {'yes' if ok else 'no'}"
-            for k, ok in enumerate(pres.g1_power_spans)
+            for k, ok in enumerate(doc["g1_power_spans"])
         )
         lines.append(f"powers of g1 span ({spans})")
-    lines.append(f"groups by degree (up to {max_degree}):")
-    lines.extend(f"  degree {d}: {grp}" for d, grp in ring.groups(max_degree).items())
-    print("\n".join(lines))
-    return 0
+    return "\n".join(lines + _listing(doc["groups"]))
+
+
+def _kawasaki_latex(doc) -> str:
+    lines = [
+        r"\ell\text{-table}: (%s)" % ", ".join(map(str, doc["ell"])),
+        r"\text{generators: } " + ", ".join(
+            r"\gamma_{%s} \ (\deg %d)" % (g["name"][1:], g["degree"]) for g in doc["generators"]
+        ),
+    ]
+    lines.extend(
+        r"\gamma_{%d}\gamma_{%d} = %s \\" % (r["i"], r["j"], r["product"].render(latex=True))
+        for r in doc["relations"]
+    )
+    return "\n".join(lines)
 
 
 # -- orbifold --------------------------------------------------------------------
 
 
-def _cmd_orbifold(args) -> int:
+def _cmd_orbifold(args) -> dict:
     ring = OrbifoldRing(args.weights)
     kaw = KawasakiRing(args.weights)
-    n = ring.weights.n
-    max_degree = _integral_max_degree(args, n)
-    images = [(f"g{k}", kaw.qstar(kaw.gamma(k), ring)) for k in range(1, n + 1)]
+    max_degree = _integral_max_degree(args, ring.weights.n)
+    doc = {
+        "weights": ring.weights,
+        "relation": {"coefficient": ring.N, "exponent": ring.top},
+        "qstar": [
+            {"generator": f"g{k}", "image": kaw.qstar(kaw.gamma(k), ring)}
+            for k in range(1, ring.weights.n + 1)
+        ],
+    }
+    if args.format != "latex":
+        doc["groups"] = ring.groups(max_degree)
+    return doc
 
-    if args.format == "json":
-        doc = ring.to_json(max_degree)
-        doc["qstar"] = [{"generator": name, "image": str(img)} for name, img in images]
-        print(_dump_json(doc))
-        return 0
 
-    if args.format == "latex":
-        lines = [r"\mathbb{Z}[u]/\langle %du^{%d} \rangle" % (ring.N, ring.top)]
-        lines.extend(
-            r"q^*(\gamma_{%s}) = %s \\" % (name[1:], img.render(latex=True))
-            for name, img in images
-        )
-        print("\n".join(lines))
-        return 0
-
-    lines = [f"orbifold cohomology ring for weights {ring.weights}: {ring}"]
-    lines.append(f"groups by degree (up to {max_degree}):")
-    lines.extend(f"  degree {d}: {grp}" for d, grp in ring.groups(max_degree).items())
-    if images:
+def _orbifold_text(doc) -> str:
+    rel = doc["relation"]
+    lines = [
+        f"orbifold cohomology ring for weights {doc['weights']}: "
+        f"Z[u]/<{rel['coefficient']}u^{rel['exponent']}>"
+    ]
+    lines += _listing(doc["groups"])
+    if doc["qstar"]:
         lines.append("comparison map from the coarse-space ring:")
-        lines.extend(f"  q*({name}) = {img}" for name, img in images)
-    print("\n".join(lines))
-    return 0
+        lines.extend(f"  q*({q['generator']}) = {q['image']}" for q in doc["qstar"])
+    return "\n".join(lines)
+
+
+def _orbifold_latex(doc) -> str:
+    rel = doc["relation"]
+    lines = [r"\mathbb{Z}[u]/\langle %du^{%d} \rangle" % (rel["coefficient"], rel["exponent"])]
+    lines.extend(
+        r"q^*(\gamma_{%s}) = %s \\" % (q["generator"][1:], q["image"].render(latex=True))
+        for q in doc["qstar"]
+    )
+    return "\n".join(lines)
 
 
 # -- kunneth ----------------------------------------------------------------------
 
 
-def _cmd_kunneth(args) -> int:
+def _cmd_kunneth(args) -> dict:
     wa, wb = args.weights, args.weights_b
     max_degree = _integral_max_degree(args, wa.n + wb.n)
     pg = product_groups(wa, wb, max_degree)
-    witness = pg.odd_torsion_witness()
+    doc = {"weights_a": wa, "weights_b": wb, "max_degree": max_degree, "groups": pg.groups}
+    if args.format != "latex":
+        doc["odd_torsion_witness"] = pg.odd_torsion_witness()
+    return doc
 
-    if args.format == "json":
-        doc = {
-            "weights_a": list(wa.b),
-            "weights_b": list(wb.b),
-            "max_degree": max_degree,
-            "groups": pg.groups.to_json(),
-            "odd_torsion_witness": witness,
-        }
-        print(_dump_json(doc))
-        return 0
 
-    if args.format == "latex":
-        lines = [
-            r"H^{%d} = %s \\" % (d, str(grp).replace("Z", r"\mathbb{Z}"))
-            for d, grp in pg.groups.items()
-        ]
-        print("\n".join(lines))
-        return 0
-
-    lines = [f"product cohomology for {wa} x {wb} up to degree {max_degree}:"]
-    lines.extend(f"  degree {d}: {grp}" for d, grp in pg.groups.items())
+def _kunneth_text(doc) -> str:
+    groups, top, witness = doc["groups"], doc["max_degree"], doc["odd_torsion_witness"]
+    lines = [f"product cohomology for {doc['weights_a']} x {doc['weights_b']} up to degree {top}:"]
+    lines.extend(f"  degree {d}: {g}" for d, g in groups.items())
     if witness is None:
-        lines.append(f"no odd-degree torsion up to degree {max_degree}")
+        lines.append(f"no odd-degree torsion up to degree {top}")
     else:
-        lines.append(
-            f"first odd degree with nonzero group: {witness} ({pg.groups.group(witness)})"
-        )
-    print("\n".join(lines))
-    return 0
+        lines.append(f"first odd degree with nonzero group: {witness} ({groups.group(witness)})")
+    return "\n".join(lines)
+
+
+def _kunneth_latex(doc) -> str:
+    return "\n".join(
+        r"H^{%d} = %s \\" % (d, str(g).replace("Z", r"\mathbb{Z}"))
+        for d, g in doc["groups"].items()
+    )
 
 
 # -- eval -----------------------------------------------------------------------------
 
 
-_RINGS = {
-    "kawasaki": KawasakiRing,
-    "orbifold": OrbifoldRing,
-    "chenruan": CrRing,
-}
+_RINGS = {"kawasaki": KawasakiRing, "orbifold": OrbifoldRing, "chenruan": CrRing}
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     ring = _RINGS[args.ring](args.weights)
-    tree = parse(args.expression)
-    value = evaluate(tree, ring)
+    value = evaluate(parse(args.expression), ring)
     if value.is_zero:
         degree = "undefined (zero element)"
     else:
         deg = value.degree()
-        degree = "inhomogeneous" if deg is None else _fr(deg)
+        degree = "inhomogeneous" if deg is None else str(deg)
+    return {"ring": args.ring, "weights": args.weights, "expression": args.expression,
+            "value": value, "degree": degree}
 
-    if args.format == "json":
-        print(
-            _dump_json(
-                {
-                    "ring": args.ring,
-                    "weights": list(args.weights.b),
-                    "expression": args.expression,
-                    "value": str(value),
-                    "degree": degree,
-                }
-            )
-        )
-        return 0
-    if args.format == "latex" and args.ring == "chenruan":
-        print(value.render(latex=True))
-        return 0
-    print(str(value))
-    print(f"degree: {degree}")
-    return 0
+
+def _eval_text(doc) -> str:
+    return f"{doc['value']}\ndegree: {doc['degree']}"
+
+
+def _eval_latex(doc) -> str:
+    if doc["ring"] == "chenruan":
+        return doc["value"].render(latex=True)
+    return _eval_text(doc)
 
 
 # -- check ------------------------------------------------------------------------------
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     _require_dense(args.weights.ell, "check")
     _require_products(CrRing(args.weights), "check forms")
     results = run_checks(args.weights)
-    ok = all(r.passed for r in results)
-    if args.format == "json":
-        print(
-            _dump_json(
-                {
-                    "weights": list(args.weights.b),
-                    "ok": ok,
-                    "results": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail}
-                        for r in results
-                    ],
-                }
-            )
-        )
-        return 0 if ok else 1
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        suffix = f" -- {r.detail}" if r.detail else ""
-        print(f"{status} {r.name}{suffix}")
-    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return 0 if ok else 1
+    return {"weights": args.weights, "ok": all(r.passed for r in results), "results": results}
+
+
+def _check_text(doc) -> str:
+    results = doc["results"]
+    lines = [
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}" + (f" -- {r.detail}" if r.detail else "")
+        for r in results
+    ]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    return "\n".join(lines)
 
 
 # -- argument plumbing ---------------------------------------------------------------------
@@ -571,18 +564,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kawasaki", help="singular cohomology ring of the coarse space")
     common(p)
-    p.set_defaults(func=_cmd_kawasaki)
+    p.set_defaults(func=_cmd_kawasaki, text=_kawasaki_text, latex=_kawasaki_latex)
 
     p = sub.add_parser("orbifold", help="cohomology ring of the orbifold")
     common(p)
-    p.set_defaults(func=_cmd_orbifold)
+    p.set_defaults(func=_cmd_orbifold, text=_orbifold_text, latex=_orbifold_latex)
 
     p = sub.add_parser("chenruan", help="sector-graded orbifold cohomology ring")
     common(p)
     p.add_argument("--sectors", action="store_true", help="print the sector chart")
     p.add_argument("--presentation", action="store_true", help="print the presentation")
     p.add_argument("--multtable", action="store_true", help="print the twisted multiplication table")
-    p.set_defaults(func=_cmd_chenruan)
+    p.set_defaults(func=_cmd_chenruan, text=_chenruan_text, latex=_chenruan_latex)
 
     p = sub.add_parser("kunneth", help="degree-wise groups of a product of two quotients")
     common(p)
@@ -590,29 +583,40 @@ def _build_parser() -> argparse.ArgumentParser:
         "--weights-b", type=_weights_arg, required=True,
         help="weights of the second factor",
     )
-    p.set_defaults(func=_cmd_kunneth)
+    p.set_defaults(func=_cmd_kunneth, text=_kunneth_text, latex=_kunneth_latex)
 
     p = sub.add_parser("eval", help="evaluate an expression in one of the rings")
     common(p, with_degree=False)
     p.add_argument("--ring", choices=tuple(_RINGS), required=True)
     p.add_argument("expression", help="e.g. 'a2*a2 + u^3'")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, text=_eval_text, latex=_eval_latex)
 
     p = sub.add_parser("check", help="run the invariant suite for the given weights")
     common(p, with_degree=False)
-    p.set_defaults(func=_cmd_check)
+    p.set_defaults(func=_cmd_check, text=_check_text, latex=_check_text)
 
     return top
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        ok = doc.get("ok", True)
+        if args.format == "json":
+            # converted before encoding, since a value that json's default=
+            # hook converts has each of its chunks passed through one more
+            # generator; rebinding frees the library values meanwhile
+            doc = _json_value(doc)
+            out = json.dumps(doc, indent=2, sort_keys=True)
+        else:
+            # each subparser names its handler's text and latex views
+            out = getattr(args, args.format)(doc)
     except (ParseError, EvalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(out)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -1,15 +1,22 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpscoh import cli
+from wpscoh.chenruan import CrRing
 from wpscoh.cli import main
+from wpscoh.kawasaki import KawasakiRing
+from wpscoh.kunneth import ProductGroups
+from wpscoh.orbifold import OrbifoldRing
+from wpscoh.verify import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -536,3 +543,150 @@ def test_default_degrees_stay_within_the_degree_limit(capsys):
     top = 2 * (2 * (cli.MAX_WEIGHTS - 1) + 2)
     assert code == 0 and f"up to degree {top}:" in out
     assert top <= cli.MAX_DEGREE_LIMIT
+
+
+# -- one document per call, and the views of it --------------------------------
+
+FORMATS = ("text", "json", "latex")
+SECTION_SETS = [
+    (), ("--sectors",), ("--presentation",), ("--multtable",),
+    ("--sectors", "--presentation"), ("--presentation", "--multtable"),
+    ("--sectors", "--multtable"), ("--sectors", "--presentation", "--multtable"),
+]
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name",
+    [
+        (("chenruan", "--weights", "3,4", "--presentation"), CrRing, "graded_dimensions"),
+        (("chenruan", "--weights", "3,4"), CrRing, "graded_dimensions"),
+        (("orbifold", "--weights", "1,2,2,3,3,3"), OrbifoldRing, "groups"),
+        (("kawasaki", "--weights", "1,2,2,3,3,3"), KawasakiRing, "groups"),
+        (("kunneth", "--weights", "1,2", "--weights-b", "1,2"), ProductGroups,
+         "odd_torsion_witness"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_latex_does_not_compute_what_it_leaves_out(capsys, monkeypatch, argv, owner, name):
+    calls = Counter()
+    _count_calls(monkeypatch, owner, name, calls)
+    for fmt, expected in (("latex", 0), ("text", 1), ("json", 1)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 0 and out
+        assert calls[name] == expected, fmt
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("sections", SECTION_SETS, ids=lambda s: "+".join(s) or "default")
+def test_presentation_and_mult_table_are_built_at_most_once(capsys, monkeypatch, fmt, sections):
+    calls = Counter()
+    _count_calls(monkeypatch, CrRing, "presentation", calls)
+    _count_calls(monkeypatch, CrRing, "mult_table", calls)
+    code, _, _ = run_cli(capsys, "chenruan", "--weights", "1,2,2,3,3,3", "--format", fmt, *sections)
+    assert code == 0
+    assert calls["presentation"] <= 1 and calls["mult_table"] <= 1
+    shown = set(sections) or {"--sectors", "--presentation"}
+    assert calls["presentation"] == ("--presentation" in shown)
+    assert calls["mult_table"] == bool(shown & {"--presentation", "--multtable"})
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_kawasaki_presentation_is_built_once(capsys, monkeypatch, fmt):
+    calls = Counter()
+    _count_calls(monkeypatch, KawasakiRing, "presentation", calls)
+    assert run_cli(capsys, "kawasaki", "--weights", "1,2,3", "--format", fmt)[0] == 0
+    assert calls["presentation"] == 1
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_check_exits_1_when_a_check_fails(capsys, monkeypatch, fmt):
+    failing = [
+        CheckResult("sector ring: something holds", True, "exhaustive over 4 pairs"),
+        CheckResult("sector ring: something else holds", False, "sector 3 breaks it"),
+    ]
+    monkeypatch.setattr(cli, "run_checks", lambda weights: failing)
+    code, out, err = run_cli(capsys, "check", "--weights", "1,2", "--format", fmt)
+    assert code == 1 and err == ""
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["weights"] == [1, 2]
+        assert doc["results"][1] == {
+            "name": "sector ring: something else holds", "passed": False,
+            "detail": "sector 3 breaks it",
+        }
+    else:
+        assert out.splitlines() == [
+            "PASS sector ring: something holds -- exhaustive over 4 pairs",
+            "FAIL sector ring: something else holds -- sector 3 breaks it",
+            "1/2 checks passed",
+        ]
+
+
+@pytest.mark.parametrize("sections", SECTION_SETS, ids=lambda s: "+".join(s) or "default")
+def test_latex_joins_no_empty_block(capsys, sections):
+    # ell = 1 has no twisted sector, so its product blocks are empty
+    for weights in ("1,1", "1,1,1", "1,2"):
+        code, out, _ = run_cli(capsys, "chenruan", "--weights", weights, "--format", "latex",
+                               *sections)
+        assert code == 0
+        assert "\n\n\n" not in out
+        assert not out.endswith("\n\n") or out == "\n"
+
+
+def test_eval_refuses_a_product_above_the_pair_limit(capsys):
+    from wpscoh.algebra import MAX_PRODUCT_PAIRS
+
+    code, out, err = run_cli(
+        capsys, "eval", "--weights", "1,97", "--ring", "orbifold", "(1+u+u^2+u^3)^4000"
+    )
+    assert code == 2 and out == ""
+    assert re.fullmatch(
+        rf"error: a product of \d+ by \d+ monomials is above the limit of {MAX_PRODUCT_PAIRS} "
+        r"monomial pairs\n",
+        err,
+    )
+    # powers of one monomial form one pair per product
+    code, out, _ = run_cli(capsys, "eval", "--weights", "1,97", "--ring", "orbifold",
+                           "u^1000000000000")
+    assert code == 0 and out.splitlines() == ["u^1000000000000", "degree: 2000000000000"]
+    code, out, _ = run_cli(capsys, "eval", "--weights", "3,4,6", "--ring", "chenruan",
+                           "a4^1000000000001")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "ring, expression, sizes",
+    [
+        ("orbifold", "(1+u)*(1+u)", (2, 2)),
+        # 1 by 1+u, then 1+u squared, then 1+u by 1+2u+u^2
+        ("orbifold", "(1+u)^3", (2, 3)),
+        # sectors 2 and 4 of (1,2,2,3,3,3) multiply in every pair
+        ("chenruan", "(a2 + a4)*(a2 + a4)", (2, 2)),
+        # 1 by g1+g2, then g1+g2 squared, then 1 by g2+2g3+g4
+        ("kawasaki", "(g1 + g2)^2", (2, 2)),
+    ],
+)
+def test_pair_limit_boundary(capsys, monkeypatch, ring, expression, sizes):
+    pairs = sizes[0] * sizes[1]
+    argv = ("eval", "--weights", "1,2,2,3,3,3", "--ring", ring, expression)
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setattr("wpscoh.algebra.MAX_PRODUCT_PAIRS", pairs)
+    assert run_cli(capsys, *argv) == expected
+    monkeypatch.setattr("wpscoh.algebra.MAX_PRODUCT_PAIRS", pairs - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a product of {sizes[0]} by {sizes[1]} monomials is above the limit of "
+        f"{pairs - 1} monomial pairs\n"
+    )
