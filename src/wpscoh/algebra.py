@@ -34,6 +34,14 @@ from __future__ import annotations
 # monomial, such as u^1000000000000, walks one pair per product.
 MAX_PRODUCT_PAIRS = 1_000_000
 
+# A product whose reduced coefficients exceed this many bits raises
+# ValueError.  Any integer under it prints in at most 4215 decimal
+# digits, within Python's default limit of 4300 for int-to-str.  Without
+# it a power of a constant such as 2^30000000 squares its coefficient
+# into a 30M-bit integer before anything can print it.  Coefficients
+# that a ring reduces stay small: (3u^2)^100000 in Z[u]/<2u^2> is u^200000.
+MAX_COEFFICIENT_BITS = 14_000
+
 
 def u_power(m: int, latex: bool = False) -> str:
     """u^m as it is printed: empty for m = 0, braced exponents in LaTeX."""
@@ -127,7 +135,8 @@ class Algebra:
         """Bilinear extension of the basis products; per pair of basis
         elements the u-polynomials are convolved and shifted by the
         structure constant's u-power.  Raises ValueError past
-        ``MAX_PRODUCT_PAIRS`` pairs of monomials."""
+        ``MAX_PRODUCT_PAIRS`` pairs of monomials, or when a reduced
+        coefficient has more than ``MAX_COEFFICIENT_BITS`` bits."""
         self._check_element(x)
         self._check_element(y)
         raw: dict = {}
@@ -150,7 +159,15 @@ class Algebra:
                     for m2, c2 in pj.items():
                         m = m1 + m2 + power
                         bucket[m] = bucket.get(m, 0) + coeff * c1 * c2
-        return self._normal(raw)
+        product = self._normal(raw)
+        for poly in product.parts.values():
+            for c in poly.values():
+                if c.bit_length() > MAX_COEFFICIENT_BITS:
+                    raise ValueError(
+                        "a product has a coefficient of %d bits, above the limit of %d bits"
+                        % (c.bit_length(), MAX_COEFFICIENT_BITS)
+                    )
+        return product
 
     # -- value semantics ---------------------------------------------------------------
 

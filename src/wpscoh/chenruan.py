@@ -5,7 +5,10 @@ Sectors are indexed by j in {0, ..., ell-1}, one for each ell-th root of
 unity, where ell = lcm of the weights.  Sector j carries the rotation
 numbers a_k(j) = frac(b_k j / ell), the coordinates it fixes, the Euler
 coefficient c_j (product of the fixed weights) with exponent d_j (their
-count), and a rational degree shift 2 * sum_k a_k(j).
+count), and a rational degree shift 2 * sum_k a_k(j).  The shift is
+kept as an integer in units of 1/ell, s_j = 2 * sum_k (b_k j mod ell)
+(``CrRing._shift_units``); the ``SectorData`` record, with its
+per-coordinate fractions, is built only for display.
 
 The ring is generated over Z by a degree-2 class u and one placeholder
 generator per sector.  Generator products twist into the sector [i+j]
@@ -28,6 +31,13 @@ c_j u^{d_j} (c_j = 1, d_j = 0 kills a zero sector outright) and
 structure constants a_i a_j = coeff u^power a_{i+j} from
 ``CrRing._raw_product``.
 
+The graded groups follow from the Euler data alone.  Sector j adds Z in
+degrees s_j + 2 ell m (in units of 1/ell) while m < d_j, and Z/c_j in
+every such degree after that.  Within one class of degrees mod 2 the
+group changes only at those 2 * |nonzero| change points, so
+``CrRing.graded_dimensions`` sweeps the integer degrees of each class
+and builds one group per change point.
+
 The lemma that lets products, presentations and scans skip the zero
 sectors: if sector i fixes no coordinate, every coordinate k fixed by
 i+j has b_k i != 0 mod ell, so its rotation numbers at i and j sum to
@@ -42,8 +52,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from .abelian import FgAbGroup, Z, cyclic, direct_sum_all
+from .abelian import FgAbGroup
 from .algebra import Algebra, Element, monomial, u_power
 from .arith import as_weights
 
@@ -177,7 +188,12 @@ class CrRing(Algebra):
     _annihilator = euler
 
     def _shift(self, j):
-        return self.sector(j).degree_shift
+        return Fraction(self._shift_units(j), self.ell)
+
+    def _shift_units(self, j: int) -> int:
+        """Degree shift of sector j in units of 1/ell: twice the sum of
+        its rotation numerators."""
+        return 2 * sum(self.rotations(j))
 
     def _variable(self, j, m, latex):
         sector = (r"\alpha_{%d}" if latex else "a%d") % j if j else ""
@@ -245,11 +261,12 @@ class CrRing(Algebra):
         the module docstring their products reduce to 0.  So the product
         relations run over the nonzero twisted sectors only.
         """
+        ell = self.ell
         gens = [("u", Fraction(2))]
-        gens += [(f"a{j}", self.sector(j).degree_shift) for j in range(1, self.ell)]
+        gens += [(f"a{j}", Fraction(self._shift_units(j), ell)) for j in range(1, ell)]
         kernel = tuple(
             KernelRelation(j, *self.euler(j), self.kernel_relation(j))
-            for j in range(self.ell)
+            for j in range(ell)
         )
         products = tuple(
             ProductRelation(i, j, rhs) for (i, j), rhs in self.mult_table().items()
@@ -269,23 +286,53 @@ class CrRing(Algebra):
         Z/c_j once m >= d_j; sectors whose generator is zero contribute
         nothing, so only the nonzero sectors are visited.
 
+        The sweep runs in integer units of 1/ell.  A sector's degrees
+        s_j + 2 ell m (s_j from ``_shift_units``) lie in the class of
+        s_j mod 2 ell, so each class is swept on its own.  In a class
+        the group changes only at the change points s_j, where a Z
+        starts, and s_j + 2 ell d_j, where that Z becomes Z/c_j.  One
+        group is built per change point and shared by every degree up
+        to the next, so the cost grows with the nonzero sectors, not
+        with max_degree; a degree becomes a Fraction only when emitted.
+
         >>> CrRing((1, 2)).graded_dimensions(3)
         [(Fraction(0, 1), FgAbGroup(1, ())), (Fraction(1, 1), FgAbGroup(1, ())), \
 (Fraction(2, 1), FgAbGroup(1, ())), (Fraction(3, 1), FgAbGroup(0, (2,)))]
+        >>> [(str(deg), str(g)) for deg, g in CrRing((2, 2)).graded_dimensions(4)]
+        [('0', 'Z^2'), ('2', 'Z^2'), ('4', 'Z/4 + Z/4')]
         """
         max_degree = Fraction(max_degree)
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        buckets: dict = {}
+        ell = self.ell
+        period = 2 * ell
+        last = max_degree.numerator * ell // max_degree.denominator  # in units of 1/ell
+        # per class mod 2 ell: {change point: [free-rank step, new torsion orders]}
+        classes: dict = {}
         for j in self.nonzero:
-            s = self.sector(j)
-            m = 0
-            while s.degree_shift + 2 * m <= max_degree:
-                group = Z if m < s.d else cyclic(s.c)
-                if not group.is_zero:
-                    buckets.setdefault(s.degree_shift + 2 * m, []).append(group)
-                m += 1
-        return sorted((deg, direct_sum_all(gs)) for deg, gs in buckets.items())
+            s = self._shift_units(j)
+            c, d = self._euler[j]
+            points = classes.setdefault(s % period, {})
+            points.setdefault(s, [0, []])[0] += 1
+            end = points.setdefault(s + period * d, [0, []])
+            end[0] -= 1
+            if c > 1:
+                end[1].append(c)
+        swept = []
+        for points in classes.values():
+            free, orders = 0, []
+            changes = sorted(points)
+            for x, stop in zip(changes, changes[1:] + [last + 1]):
+                if x > last:
+                    break
+                step, new = points[x]
+                free += step
+                orders += new
+                if free or orders:
+                    group = FgAbGroup(free, orders)
+                    swept += [(y, group) for y in range(x, min(stop, last + 1), period)]
+        swept.sort(key=itemgetter(0))
+        return [(Fraction(x, ell), group) for x, group in swept]
 
     # -- comparison -------------------------------------------------------------------
 
@@ -324,9 +371,8 @@ class CrRing(Algebra):
         return False
 
     def _matches_under(self, other: "CrRing", t: int, j: int) -> bool:
-        a = self.sector(j)
-        b = other.sector(t * j % self.ell)
-        return (a.c, a.d, a.degree_shift) == (b.c, b.d, b.degree_shift)
+        k = t * j % self.ell
+        return (self.euler(j), self._shift_units(j)) == (other.euler(k), other._shift_units(k))
 
     # -- misc ----------------------------------------------------------------------------
 

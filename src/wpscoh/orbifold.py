@@ -103,9 +103,17 @@ class OrbifoldRing(Algebra):
         return Z if d // 2 <= self.weights.n else cyclic(self.N)
 
     def groups(self, max_degree: int) -> GradedGroups:
+        """The groups up to max_degree: the two nonzero ones, Z and Z/N,
+        are built once and shared by every even degree.
+
+        >>> OrbifoldRing((1, 2)).groups(7)
+        GradedGroups(max_degree=7, {0: Z, 2: Z, 4: Z/2, 6: Z/2})
+        """
+        top = cyclic(self.N)
+        n = self.weights.n
         return GradedGroups(
             max_degree,
-            {d: self.group_at_degree(d) for d in range(0, max_degree + 1, 2)},
+            {d: Z if d // 2 <= n else top for d in range(0, max_degree + 1, 2)},
         )
 
     # -- misc --------------------------------------------------------------

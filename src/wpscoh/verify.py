@@ -269,7 +269,7 @@ def run_checks(weights):
     # and degrees add when the product survives (in units of 1/ell, so the
     # walk stays in integers)
     gens = {j: cr.generator(j) for j in nz}
-    shift = {j: int(cr.sector(j).degree_shift * ell) for j in nz}
+    shift = {j: cr._shift_units(j) for j in nz}
     commutes = additive = True
     for x, i in enumerate(nz):
         for j in nz[x:]:

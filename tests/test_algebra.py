@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpscoh.algebra import Algebra, Element, monomial, u_power
+from wpscoh.algebra import MAX_COEFFICIENT_BITS, Algebra, Element, monomial, u_power
 from wpscoh.arith import rotation_number
 from wpscoh.chenruan import CrElement, CrRing
 from wpscoh.kawasaki import KawasakiElement, KawasakiRing
@@ -198,3 +198,17 @@ def test_validation_errors_are_kept():
         CrRing((1, 2)).element({2: {0: 1}})
     with pytest.raises(ValueError, match="exponents must be non-negative integers"):
         CrRing((1, 2)).u() ** -1
+
+
+def test_product_refuses_a_coefficient_above_the_bit_limit():
+    ring = OrbifoldRing((1, 2))
+    half = MAX_COEFFICIENT_BITS // 2
+    below = ring.from_int(2**half - 1)
+    assert (below * below).coeffs[0].bit_length() == MAX_COEFFICIENT_BITS
+    assert (-below * below).coeffs[0].bit_length() == MAX_COEFFICIENT_BITS
+    with pytest.raises(ValueError, match=f"above the limit of {MAX_COEFFICIENT_BITS} bits"):
+        ring.from_int(2**half) * ring.from_int(-(2**half))
+    # every coefficient the bound lets through can be printed
+    assert len(str(2**MAX_COEFFICIENT_BITS - 1)) <= 4300
+    # the bound applies after reduction: mod N = 2 the coefficient stays 1
+    assert (ring.u(2, 3) ** 100_000) == ring.u(200_000)

@@ -665,6 +665,29 @@ def test_eval_refuses_a_product_above_the_pair_limit(capsys):
     assert code == 0
 
 
+def test_eval_refuses_a_coefficient_above_the_bit_limit(capsys):
+    from wpscoh.algebra import MAX_COEFFICIENT_BITS
+
+    # 2 squared 14 times has 16385 bits, whatever the exponent
+    for exponent in ("30000000", "10000000000000000000000"):
+        code, out, err = run_cli(
+            capsys, "eval", "--weights", "1,2", "--ring", "orbifold", "2^" + exponent
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a product has a coefficient of 16385 bits, above the limit of "
+            f"{MAX_COEFFICIENT_BITS} bits\n"
+        )
+    # reduction mod N = 2 keeps the coefficient at 1
+    code, out, _ = run_cli(capsys, "eval", "--weights", "1,2", "--ring", "orbifold",
+                           "(3*u^2)^100000")
+    assert code == 0 and out.splitlines() == ["u^200000", "degree: 400000"]
+    # the largest coefficient in the benchmark corpora, 3188 bits, still prints
+    code, out, _ = run_cli(capsys, "eval", "--weights", "3,3,3", "--ring", "kawasaki",
+                           "(g1 + g2 + 3)^2000*g1")
+    assert code == 0 and len(out) > 900
+
+
 @pytest.mark.parametrize(
     "ring, expression, sizes",
     [

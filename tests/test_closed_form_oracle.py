@@ -2,8 +2,9 @@
 
 The oracles below are the earlier implementations: the subset
 enumeration of ``subset_lcm_table``, the fixed-point gcd/lcm absorption
-of ``_invariant_factors``, the summand-by-summand ``product_groups`` and
-the linear-loop power.  Each fast path must agree with its oracle on
+of ``_invariant_factors``, the summand-by-summand ``product_groups``,
+the per-degree enumeration of ``graded_dimensions`` and the linear-loop
+power.  Each fast path must agree with its oracle on
 the acceptance corpus (every weight vector with n <= 4 and entries
 <= 6) and on hypothesis-drawn inputs, including degree 0, factors with
 N = 1 and coprime N_a, N_b.
@@ -11,12 +12,13 @@ N = 1 and coprime N_a, N_b.
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpscoh.abelian import FgAbGroup, _invariant_factors, direct_sum_all
+from wpscoh.abelian import FgAbGroup, Z, _invariant_factors, cyclic, direct_sum_all
 from wpscoh.arith import coprime_base, valuation
 from wpscoh.chenruan import CrRing
 from wpscoh.kawasaki import KawasakiRing, subset_lcm_table
@@ -74,6 +76,25 @@ def product_groups_oracle(a, b, max_degree):
         orders = [t for g in summands for t in g.torsion]
         table[d] = (sum(g.free_rank for g in summands), invariant_factors_oracle(orders))
     return table
+
+
+def graded_dimensions_oracle(self, max_degree):
+    """CrRing.graded_dimensions as it was: every degree of every nonzero
+    sector in Fraction arithmetic, one cyclic group each, then one direct
+    sum per degree."""
+    max_degree = Fraction(max_degree)
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    buckets: dict = {}
+    for j in self.nonzero:
+        s = self.sector(j)
+        m = 0
+        while s.degree_shift + 2 * m <= max_degree:
+            group = Z if m < s.d else cyclic(s.c)
+            if not group.is_zero:
+                buckets.setdefault(s.degree_shift + 2 * m, []).append(group)
+            m += 1
+    return sorted((deg, direct_sum_all(gs)) for deg, gs in buckets.items())
 
 
 def power_oracle(x, k):
@@ -200,6 +221,53 @@ def test_odd_torsion_witness_reads_the_groups():
     assert odd_torsion_witness((1, 2), (1, 2), 6) is None
 
 
+# -- Chen-Ruan graded groups -------------------------------------------------------------
+
+
+def assert_graded_dimensions_match(b, max_degree):
+    ring = CrRing(b)
+    got = ring.graded_dimensions(max_degree)
+    assert got == graded_dimensions_oracle(ring, max_degree), (b, max_degree)
+    assert all(type(deg) is Fraction for deg, _ in got)
+
+
+def test_graded_dimensions_matches_enumeration_on_corpus():
+    for b in CORPUS:
+        ell = math.lcm(*b)
+        # 5 + 1/(2 ell) lies strictly between the degrees 5 and 5 + 1/ell
+        between = Fraction(10 * ell + 1, 2 * ell)
+        for max_degree in (0, Fraction(7, 2), 2 * (len(b) + 1), 30, between):
+            assert_graded_dimensions_match(b, max_degree)
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    st.integers(0, 120),
+    st.integers(1, 12),
+)
+@settings(max_examples=150, deadline=None)
+def test_graded_dimensions_matches_enumeration(b, p, q):
+    assert_graded_dimensions_match(b, Fraction(p, q))
+
+
+def test_graded_dimensions_deep_cases():
+    for b, max_degree in (((3, 5), 800), ((3, 4, 2), 1000), ((5, 7, 9), 4000)):
+        assert_graded_dimensions_match(b, max_degree)
+
+
+def test_graded_dimensions_edge_vectors():
+    # (1,) and (1, 1): sector 0 has c = 1 and d > 0, so its Z stops and
+    # nothing replaces it
+    assert CrRing((1, 1)).euler(0) == (1, 2)
+    # the gerbe (2, 2): both sectors have shift 0 and share one class
+    gerbe = CrRing((2, 2))
+    assert [gerbe._shift_units(j) for j in gerbe.nonzero] == [0, 0]
+    for b in ((1,), (1, 1), (2, 2), (1, 1, 2)):
+        for max_degree in (0, 1, Fraction(7, 2), 4, 9, 40):
+            assert_graded_dimensions_match(b, max_degree)
+    assert CrRing((1, 1)).graded_dimensions(40) == [(0, Z), (2, Z)]
+
+
 # -- powers -----------------------------------------------------------------------------------
 
 
@@ -255,3 +323,25 @@ def test_kawasaki_ring_with_forty_weights():
     assert ring.ell(39) == math.factorial(40)
     assert all(ring.ell(k) * ring.ell(m) % ring.ell(k + m) == 0
                for k in range(40) for m in range(40 - k))
+
+
+def _groups_built(monkeypatch, ring, max_degree):
+    built = []
+    init = FgAbGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FgAbGroup, "__init__", counting_init)
+        ring.graded_dimensions(max_degree)
+    return len(built)
+
+
+def test_graded_dimensions_builds_one_group_per_change_point(monkeypatch):
+    for b in ((1,), (2, 2), (1, 2, 2, 3, 3, 3), (4, 9, 14), (7, 8, 15), (5, 7, 9)):
+        ring = CrRing(b)
+        assert _groups_built(monkeypatch, ring, 200) <= 2 * len(ring.nonzero), b
+    ring = CrRing((5, 7, 9))
+    assert _groups_built(monkeypatch, ring, 400) == _groups_built(monkeypatch, ring, 4000)
