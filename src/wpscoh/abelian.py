@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 from .arith import coprime_base, valuation
 
@@ -174,7 +175,8 @@ class GradedGroups:
 
     Degrees absent from the table but not exceeding ``max_degree`` are
     the zero group; degrees beyond the bound were never computed and
-    asking for them is an error.
+    asking for them is an error.  The table is sorted by degree once,
+    when it is built.
     """
 
     __slots__ = ("max_degree", "_groups")
@@ -183,10 +185,9 @@ class GradedGroups:
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.max_degree = max_degree
-        self._groups = {}
-        for d, g in (groups or {}).items():
-            if not g.is_zero:
-                self._groups[d] = g
+        self._groups = {
+            d: g for d, g in sorted((groups or {}).items(), key=itemgetter(0)) if not g.is_zero
+        }
 
     def group(self, degree) -> FgAbGroup:
         if degree > self.max_degree:
@@ -197,7 +198,7 @@ class GradedGroups:
 
     def items(self):
         """Nonzero (degree, group) pairs, sorted by degree."""
-        return sorted(self._groups.items())
+        return list(self._groups.items())
 
     def to_json(self) -> list:
         return [

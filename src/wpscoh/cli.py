@@ -8,12 +8,16 @@ errors.
 
 Each subcommand builds one document: a dict of library values
 (elements, groups, sector records, check results, weight vectors,
-fractions).  ``--format json`` prints that document, and ``_json_value``
-says how each library value serialises.  Text and LaTeX are views of
-it: one renderer per subcommand and format, named beside its handler in
-the parser, each reading only the document.  LaTeX leaves out the graded groups, the group listings and
-the torsion witness, so a LaTeX document does not compute them.
-``main`` is the only place that prints a result or picks the exit code.
+fractions).  ``--format json`` prints that document in one pass:
+``_dump_json`` writes byte for byte what ``json.dumps(indent=2,
+sort_keys=True)`` writes for the document in JSON types, where
+``_json_value`` gives each library value's JSON form, and a graded
+listing renders each distinct group once.  Text and LaTeX are views of
+the document: one renderer per subcommand and format, named beside its
+handler in the parser, each reading only the document.  LaTeX leaves
+out the graded groups, the group listings and the torsion witness, so
+a LaTeX document does not compute them.  ``main`` is the only place
+that prints a result or picks the exit code.
 
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the process, so an in-process caller pays for
@@ -32,13 +36,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
-from .abelian import GradedGroups
+from .abelian import GradedGroups, _degree_json
 from .algebra import Element, monomial, u_power
 from .arith import WeightVector
 from .chenruan import CrRing, KernelRelation, ProductRelation, SectorData
@@ -144,9 +148,9 @@ def _integral_max_degree(args, n: int) -> int:
 class _Graded:
     """CrRing.graded_dimensions up to max_degree, read as a GradedGroups is.
 
-    Its pairs come sorted; a GradedGroups would sort them again, which
-    costs about twice as much as the change-point sweep of
-    graded_dimensions itself.
+    It stays beside GradedGroups because chenruan writes every degree as
+    p/q, the integral ones too, where a GradedGroups writes integral
+    degrees as ints.  Its pairs come from the sweep sorted and nonzero.
     """
 
     max_degree: Fraction
@@ -157,21 +161,9 @@ class _Graded:
 
 
 def _json_value(x):
-    """A document, or any value in it, in JSON types: containers item by
-    item, and each library value by its type."""
-    if x is None or isinstance(x, (str, int)):
-        return x
-    if isinstance(x, dict):
-        return {key: _json_value(value) for key, value in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_value(value) for value in x]
+    """The JSON form of one library value in a document, by its type."""
     if isinstance(x, (Fraction, Element, KernelRelation)):
         return str(x)
-    if isinstance(x, GradedGroups):
-        return x.to_json()
-    if isinstance(x, _Graded):
-        # chenruan prints every degree as p/q, the integral ones too
-        return [{"degree": str(d), "group": g.to_json()} for d, g in x.pairs]
     if isinstance(x, WeightVector):
         return list(x.b)
     if isinstance(x, SectorData):
@@ -189,6 +181,92 @@ def _json_value(x):
     raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
+def _dump_json(doc) -> str:
+    """What ``json.dumps(indent=2, sort_keys=True)`` writes for doc with
+    each library value replaced by its JSON form, in one pass and
+    without building that copy."""
+    chunks = []
+    _write_json(doc, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_json(x, newline: str, emit) -> None:
+    """Emit the JSON text of x; newline is a line break followed by the
+    indent of the line x starts on."""
+    if isinstance(x, str):
+        emit(_quote(x))
+    elif x is None:
+        emit("null")
+    elif x is True:
+        emit("true")
+    elif x is False:
+        emit("false")
+    elif isinstance(x, int):
+        emit(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            emit(f"{sep}{_quote(key)}: ")
+            _write_json(x[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            emit(sep)
+            _write_json(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(x, _Graded):
+        _write_listing(x.pairs, lambda d: _quote(str(d)), newline, emit)
+    elif isinstance(x, GradedGroups):
+        _write_listing(x.items(), lambda d: _dump_json(_degree_json(d)), newline, emit)
+    else:
+        _write_json(_json_value(x), newline, emit)
+
+
+def _write_listing(pairs, degree_text, newline: str, emit) -> None:
+    """Emit [{"degree": ..., "group": ...}, ...], one chunk per entry.
+
+    The change-point sweep and OrbifoldRing.groups share a few group
+    objects across many degrees, so each distinct group is rendered once
+    and its text reused.
+    """
+    if not pairs:
+        emit("[]")
+        return
+    entry = newline + "  "
+    field = entry + "  "
+    head, middle, tail = "{" + field + '"degree": ', "," + field + '"group": ', entry + "}"
+    rendered = {}
+    sep = "[" + entry
+    for degree, group in pairs:
+        text = rendered.get(group)
+        if text is None:
+            text = rendered[group] = _group_json(group, field)
+        emit(f"{sep}{head}{degree_text(degree)}{middle}{text}{tail}")
+        sep = "," + entry
+    emit(newline + "]")
+
+
+def _group_json(group, newline: str) -> str:
+    """The JSON text of ``group.to_json()``, written from its fields."""
+    inner = newline + "  "
+    torsion = "[]"
+    if group.torsion:
+        item = inner + "  "
+        torsion = f"[{item}{(',' + item).join(map(str, group.torsion))}{inner}]"
+    return f'{{{inner}"free_rank": {group.free_rank},{inner}"torsion": {torsion}{newline}}}'
+
+
 # -- shared pieces of the views -------------------------------------------------
 
 
@@ -198,10 +276,19 @@ def _join(blocks) -> str:
 
 
 def _listing(groups) -> list:
-    """The "groups by degree" lines of a GradedGroups or a _Graded."""
-    return [f"groups by degree (up to {groups.max_degree}):"] + [
-        f"  degree {d}: {g}" for d, g in groups.items()
-    ]
+    """The "groups by degree" lines of a GradedGroups or a _Graded.
+
+    These listings share a few group objects across many degrees, so
+    each distinct group is formatted once.
+    """
+    lines = [f"groups by degree (up to {groups.max_degree}):"]
+    names = {}
+    for degree, group in groups.items():
+        name = names.get(group)
+        if name is None:
+            name = names[group] = str(group)
+        lines.append(f"  degree {degree}: {name}")
+    return lines
 
 
 def _table(rows) -> str:
@@ -462,6 +549,9 @@ def _cmd_kunneth(args) -> dict:
 def _kunneth_text(doc) -> str:
     groups, top, witness = doc["groups"], doc["max_degree"], doc["odd_torsion_witness"]
     lines = [f"product cohomology for {doc['weights_a']} x {doc['weights_b']} up to degree {top}:"]
+    # product_groups builds one group per degree, and where the factors
+    # share torsion each differs from the rest, so a cache of formatted
+    # groups would only add a hash per degree
     lines.extend(f"  degree {d}: {g}" for d, g in groups.items())
     if witness is None:
         lines.append(f"no odd-degree torsion up to degree {top}")
@@ -605,11 +695,7 @@ def main(argv=None) -> int:
         doc = args.func(args)
         ok = doc.get("ok", True)
         if args.format == "json":
-            # converted before encoding, since a value that json's default=
-            # hook converts has each of its chunks passed through one more
-            # generator; rebinding frees the library values meanwhile
-            doc = _json_value(doc)
-            out = json.dumps(doc, indent=2, sort_keys=True)
+            out = _dump_json(doc)
         else:
             # each subparser names its handler's text and latex views
             out = getattr(args, args.format)(doc)

@@ -1,0 +1,202 @@
+"""The one-pass JSON writer against the two-step path it replaced.
+
+``cli.main`` used to copy each document into JSON types with a
+recursive ``_json_value`` and then call ``json.dumps(indent=2,
+sort_keys=True)``, which runs CPython's pure-Python encoder.  That path
+is kept here, verbatim, as the oracle: ``cli._dump_json`` must write the
+same bytes on every ``--format json`` argv of the golden tables, on
+arbitrary nested JSON values, and must raise ``TypeError`` where it did.
+The JSON and text views of a graded listing render each distinct group
+once; counting tests pin that.
+"""
+
+import argparse
+import json
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import ALL_GOLDEN
+
+from wpscoh import cli
+from wpscoh.abelian import FgAbGroup, GradedGroups
+from wpscoh.algebra import Element
+from wpscoh.arith import WeightVector
+from wpscoh.chenruan import CrRing, KernelRelation, ProductRelation, SectorData
+from wpscoh.cli import _Graded
+from wpscoh.verify import CheckResult
+
+
+def _json_value(x):
+    """A document, or any value in it, in JSON types: containers item by
+    item, and each library value by its type."""
+    if x is None or isinstance(x, (str, int)):
+        return x
+    if isinstance(x, dict):
+        return {key: _json_value(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(value) for value in x]
+    if isinstance(x, (Fraction, Element, KernelRelation)):
+        return str(x)
+    if isinstance(x, GradedGroups):
+        return x.to_json()
+    if isinstance(x, _Graded):
+        # chenruan prints every degree as p/q, the integral ones too
+        return [{"degree": str(d), "group": g.to_json()} for d, g in x.pairs]
+    if isinstance(x, WeightVector):
+        return list(x.b)
+    if isinstance(x, SectorData):
+        return {
+            "j": x.j,
+            "a": [str(a) for a in x.a],
+            "fixed": x.fixed,
+            "euler": {"coefficient": x.c, "exponent": x.d},
+            "degree_shift": str(x.degree_shift),
+        }
+    if isinstance(x, ProductRelation):
+        return {"i": x.i, "j": x.j, "product": str(x.product)}
+    if isinstance(x, CheckResult):
+        return {"name": x.name, "passed": x.passed, "detail": x.detail}
+    raise TypeError(f"no JSON form for {type(x).__name__}")
+
+
+def oracle(doc) -> str:
+    return json.dumps(_json_value(doc), indent=2, sort_keys=True)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail with the first differing line; pytest's own diff of two long
+    documents can take minutes."""
+    if got != want:
+        got_lines, want_lines = got.splitlines(), want.splitlines()
+        at = next((i for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+                  min(len(got_lines), len(want_lines)))
+        pytest.fail(f"writer differs from the oracle at line {at}: "
+                    f"{got_lines[at:at + 1]} != {want_lines[at:at + 1]}")
+
+
+def _format(argv):
+    return argv[argv.index("--format") + 1] if "--format" in argv else "text"
+
+
+JSON_ARGVS = [argv for argv, _ in ALL_GOLDEN if _format(argv) == "json"]
+
+
+def _document(argv):
+    args = cli._build_parser().parse_args(list(argv))
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", JSON_ARGVS, ids=[" ".join(a) for a in JSON_ARGVS])
+def test_writer_matches_oracle_on_golden_argv(argv):
+    doc = _document(argv)
+    assert_same_text(cli._dump_json(doc), oracle(doc))
+
+
+def test_oracle_covers_every_json_document():
+    """The comparison above runs every subcommand that has --format json,
+    and chenruan with every non-empty set of section flags, as the parser
+    declares them."""
+    parser = cli._build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    wanted, flag_sets = set(), set()
+    for name, sub in subcommands.choices.items():
+        (fmt,) = [a for a in sub._actions if a.dest == "format"]
+        if "json" in fmt.choices:
+            wanted.add(name)
+        if name == "chenruan":
+            flags = [a.option_strings[0] for a in sub._actions
+                     if isinstance(a, argparse._StoreTrueAction)]
+            flag_sets = {frozenset(s) for k in range(1, len(flags) + 1)
+                         for s in combinations(flags, k)}
+    covered = {argv[0] for argv in JSON_ARGVS}
+    covered_flags = {frozenset(a for a in argv if a in flags)
+                     for argv in JSON_ARGVS if argv[0] == "chenruan"}
+    assert len(wanted) == 6 and wanted <= covered, sorted(wanted - covered)
+    assert len(flag_sets) == 7 and flag_sets <= covered_flags, flag_sets - covered_flags
+
+
+# text that json escapes: quotes, backslashes, control characters,
+# non-ASCII letters, line separators and a lone surrogate
+_AWKWARD = st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é", "\u2028", "\ud800", "𝔽", ""]
+)
+_TEXT = st.text() | _AWKWARD
+_DIGITS_4000 = st.integers(10**3999, 10**4000 - 1)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | _DIGITS_4000 | _DIGITS_4000.map(lambda n: -n)
+    | _TEXT
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_writer_matches_oracle_on_json_values(value):
+    assert_same_text(cli._dump_json(value), oracle(value))
+
+
+@pytest.mark.parametrize("value", [[], {}, [[]], {"": {}}, [(), {"a": []}], ([[{}]],)])
+def test_empty_containers(value):
+    assert cli._dump_json(value) == oracle(value)
+
+
+@pytest.mark.parametrize("leaf", [object(), 1.5, b"bytes", {1, 2}])
+def test_unknown_leaf_raises_type_error(leaf):
+    doc = {"ok": True, "value": [1, leaf]}
+    with pytest.raises(TypeError):
+        oracle(doc)
+    with pytest.raises(TypeError):
+        cli._dump_json(doc)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 7, Fraction(9, 2), Fraction(6)])
+def test_graded_groups_degree_forms(degree):
+    """GradedGroups writes integral degrees as ints; _Graded writes p/q."""
+    group = FgAbGroup(1, [2, 4])
+    for doc in (GradedGroups(9, {degree: group}), _Graded(Fraction(9), [(degree, group)])):
+        assert_same_text(cli._dump_json({"groups": doc}), oracle({"groups": doc}))
+
+
+def _count_group_renders(monkeypatch, capsys, max_degree):
+    calls = []
+    render = cli._group_json
+
+    def counting(group, newline):
+        calls.append(group)
+        return render(group, newline)
+
+    monkeypatch.setattr(cli, "_group_json", counting)
+    argv = ["chenruan", "--weights", "5,7,9", "--format", "json", "--max-degree", str(max_degree)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_graded_listing_renders_each_group_once(monkeypatch, capsys):
+    counts = {}
+    for max_degree in (400, 4000):
+        counts[max_degree] = _count_group_renders(monkeypatch, capsys, max_degree)
+        distinct = {g for _, g in CrRing((5, 7, 9)).graded_dimensions(max_degree)}
+        assert 0 < counts[max_degree] <= len(distinct)
+    assert counts[400] == counts[4000]
+
+
+def test_text_listing_formats_each_group_once(monkeypatch, capsys):
+    calls = []
+    name = FgAbGroup.__str__
+    monkeypatch.setattr(FgAbGroup, "__str__", lambda g: calls.append(g) or name(g))
+    for max_degree in (400, 4000):
+        calls.clear()
+        argv = ["chenruan", "--weights", "5,7,9", "--max-degree", str(max_degree)]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        distinct = {g for _, g in CrRing((5, 7, 9)).graded_dimensions(max_degree)}
+        assert 0 < len(calls) <= len(distinct)
