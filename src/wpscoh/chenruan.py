@@ -7,8 +7,12 @@ numbers a_k(j) = frac(b_k j / ell), the coordinates it fixes, the Euler
 coefficient c_j (product of the fixed weights) with exponent d_j (their
 count), and a rational degree shift 2 * sum_k a_k(j).  The shift is
 kept as an integer in units of 1/ell, s_j = 2 * sum_k (b_k j mod ell)
-(``CrRing._shift_units``); the ``SectorData`` record, with its
-per-coordinate fractions, is built only for display.
+(``CrRing._shift_units``).  A ``SectorData`` record holds the rotation
+numerators over ell, and builds its per-coordinate fractions only when
+a library caller reads them; output is written from the integers.  The
+presentation reads its ell generators and kernel relations off the ring
+when asked for them, and forms each product relation straight from the
+structure constants and the Euler class of the target sector.
 
 The ring is generated over Z by a degree-2 class u and one placeholder
 generator per sector.  Generator products twist into the sector [i+j]
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -59,7 +63,20 @@ from .algebra import Algebra, Element, monomial, u_power
 from .arith import as_weights
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+def _init_record(record, j, rotations, ell, c, d, a=None):
+    """Fill the fields of a new ``SectorData``, past its refusal of
+    assignment."""
+    _set(record, "j", j)
+    _set(record, "rotations", rotations)
+    _set(record, "ell", ell)
+    _set(record, "c", c)
+    _set(record, "d", d)
+    _set(record, "_a", a)
+
+
 class SectorData:
     """Fixed-point data for one root-of-unity sector.
 
@@ -67,14 +84,83 @@ class SectorData:
     indices with rotation number zero; ``c`` and ``d`` the coefficient
     and u-exponent of the sector's Euler class; ``degree_shift`` twice
     the age.
+
+    A record holds the rotation numbers as integers: ``rotations`` are
+    their numerators over the common denominator ``ell``, and
+    ``shift_units`` is the degree shift in units of 1/ell.  The
+    fractions ``a`` and ``degree_shift`` are built from them when read,
+    so output can format the integers without them.  A record is an
+    immutable value, equal to another when their j, a, c and d are;
+    ``CrRing.sector`` hands out the same record for a sector each time.
     """
 
-    j: int
-    a: tuple[Fraction, ...]
-    fixed: tuple[int, ...]
-    c: int
-    d: int
-    degree_shift: Fraction
+    __slots__ = ("j", "rotations", "ell", "c", "d", "_a")
+
+    def __init__(self, j, a, fixed, c, d, degree_shift):
+        """A record from its fractions; ``fixed`` and ``degree_shift``
+        must be the ones that ``a`` gives."""
+        a = tuple(map(Fraction, a))
+        ell = math.lcm(*(x.denominator for x in a))
+        rotations = tuple(x.numerator * (ell // x.denominator) for x in a)
+        _init_record(self, j, rotations, ell, c, d, a)
+        if (tuple(fixed), degree_shift) != (self.fixed, self.degree_shift):
+            raise ValueError(
+                f"fixed {fixed!r} and degree shift {degree_shift} do not follow from a = {a}"
+            )
+
+    @classmethod
+    def _from_units(cls, j, rotations, ell, c, d) -> "SectorData":
+        """A record from the rotation numerators over ell and the Euler data."""
+        record = object.__new__(cls)
+        _init_record(record, j, rotations, ell, c, d)
+        return record
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SectorData._from_units, (self.j, self.rotations, self.ell, self.c, self.d)
+
+    @property
+    def a(self) -> tuple[Fraction, ...]:
+        a = self._a
+        if a is None:
+            a = tuple(Fraction(t, self.ell) for t in self.rotations)
+            _set(self, "_a", a)
+        return a
+
+    @property
+    def fixed(self) -> tuple[int, ...]:
+        rotations = self.rotations
+        return tuple([k for k, t in enumerate(rotations) if not t]) if 0 in rotations else ()
+
+    @property
+    def shift_units(self) -> int:
+        return 2 * sum(self.rotations)
+
+    @property
+    def degree_shift(self) -> Fraction:
+        return Fraction(self.shift_units, self.ell)
+
+    def _key(self):
+        return self.j, self.a, self.c, self.d
+
+    def __eq__(self, other):
+        if isinstance(other, SectorData):
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"SectorData(j={self.j!r}, a={self.a!r}, fixed={self.fixed!r}, c={self.c!r}, "
+            f"d={self.d!r}, degree_shift={self.degree_shift!r})"
+        )
 
 
 class CrElement(Element):
@@ -135,22 +221,18 @@ class CrRing(Algebra):
         """Numerators of the rotation numbers of sector j over the common
         denominator ell: (b_k * j) mod ell for each coordinate k."""
         ell = self.ell
-        return tuple(bk * j % ell for bk in self.weights.b)
+        return tuple([bk * j % ell for bk in self.weights.b])
 
     def sector(self, j: int) -> SectorData:
         self._check_basis(j)
+        return self._record(j)
+
+    def _record(self, j: int) -> SectorData:
+        """The record of sector j, built from integers once per ring."""
         record = self._records.get(j)
         if record is None:
-            ell = self.ell
-            nums = self.rotations(j)
-            c, d = self.euler(j)
-            record = self._records[j] = SectorData(
-                j=j,
-                a=tuple(Fraction(t, ell) for t in nums),
-                fixed=tuple(k for k, t in enumerate(nums) if t == 0),
-                c=c,
-                d=d,
-                degree_shift=Fraction(2 * sum(nums), ell),
+            record = self._records[j] = SectorData._from_units(
+                j, self.rotations(j), self.ell, *self.euler(j)
             )
         return record
 
@@ -228,8 +310,13 @@ class CrRing(Algebra):
         """Product of the sector-i and sector-j generators, reduced."""
         self._check_basis(i)
         self._check_basis(j)
+        return self._generator_product(i, j)
+
+    def _generator_product(self, i: int, j: int) -> "CrElement":
+        """a_i * a_j in normal form, straight from the structure constants
+        and the Euler class of the target sector."""
         coeff, power, target = self._raw_product(i, j)
-        return self.element({target: {power: coeff}})
+        return self._normal({target: {power: coeff}})
 
     # Bilinear extension of the generator product, under the ring's own
     # name; elements multiply through it, so perfbench/tracing.py's span
@@ -250,7 +337,8 @@ class CrRing(Algebra):
     def mult_table(self) -> dict:
         """Products of all nonzero twisted generators, keyed by (i, j), i <= j."""
         idx = self.twisted_generator_indices()
-        return {(i, j): self.star_generators(i, j) for i in idx for j in idx if i <= j}
+        product = self._generator_product
+        return {(i, j): product(i, j) for x, i in enumerate(idx) for j in idx[x:]}
 
     def presentation(self) -> "CrPresentation":
         """Generators with degrees, kernel relations in sector order, and
@@ -259,19 +347,14 @@ class CrRing(Algebra):
         Product relations where both sides already vanish are omitted.
         Those are exactly the pairs with a zero generator: by the lemma in
         the module docstring their products reduce to 0.  So the product
-        relations run over the nonzero twisted sectors only.
+        relations run over the nonzero twisted sectors only.  The ell
+        generators and kernel relations are read off the ring when asked
+        for.
         """
-        ell = self.ell
-        gens = [("u", Fraction(2))]
-        gens += [(f"a{j}", Fraction(self._shift_units(j), ell)) for j in range(1, ell)]
-        kernel = tuple(
-            KernelRelation(j, *self.euler(j), self.kernel_relation(j))
-            for j in range(ell)
-        )
         products = tuple(
             ProductRelation(i, j, rhs) for (i, j), rhs in self.mult_table().items()
         )
-        return CrPresentation(tuple(gens), kernel, products)
+        return CrPresentation(self, products)
 
     # -- grading ------------------------------------------------------------------
 
@@ -399,7 +482,10 @@ def sectors(weights) -> CrRing:
 
 
 class _Sectors(Sequence):
-    """The ell sector records of a ring; each is built on first access."""
+    """The ell sector records of a ring; each is built on first access.
+
+    An index may be negative, and a slice gives a list of records.
+    """
 
     __slots__ = ("_ring",)
 
@@ -409,28 +495,46 @@ class _Sectors(Sequence):
     def __len__(self):
         return self._ring.ell
 
-    def __getitem__(self, j):
-        ell = self._ring.ell
-        if not -ell <= j < ell:
-            raise IndexError(f"sector index {j} out of range 0..{ell - 1}")
-        return self._ring.sector(j % ell)
+    def __getitem__(self, index):
+        ring = self._ring
+        ell = ring.ell
+        if isinstance(index, slice):
+            return [ring._record(j) for j in range(*index.indices(ell))]
+        if not -ell <= index < ell:
+            raise IndexError(f"sector index {index} out of range 0..{ell - 1}")
+        return ring._record(index % ell)
+
+    def __iter__(self):
+        ring = self._ring
+        return map(ring._record, range(ring.ell))
 
 
-@dataclass(frozen=True)
+# The relations are not frozen: a frozen dataclass's __init__ costs about
+# five times as much, and a presentation has one kernel relation per
+# sector.  They still compare and hash by value.
+@dataclass(slots=True, unsafe_hash=True)
 class KernelRelation:
     """One per-sector kernel generator c * u^d * (sector generator)."""
 
     j: int
     coefficient: int
     exponent: int
-    element: "CrElement"
+    ring: CrRing
+
+    @property
+    def element(self) -> "CrElement":
+        """The relation as an element of the ring, before reduction."""
+        return self.ring.kernel_relation(self.j)
+
+    def render(self, latex: bool = False) -> str:
+        """The monomial c u^d a_j, e.g. ``4u^2a3``, as its element prints."""
+        return monomial(self.coefficient, self.ring._variable(self.j, self.exponent, latex))
 
     def __str__(self):
-        variable = self.element.ring._variable(self.j, self.exponent, False)
-        return monomial(self.coefficient, variable)
+        return self.render()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ProductRelation:
     """One generator product, already in normal form."""
 
@@ -444,6 +548,30 @@ class ProductRelation:
 
 @dataclass(frozen=True)
 class CrPresentation:
-    generators: tuple[tuple[str, Fraction], ...]
-    kernel_relations: tuple[KernelRelation, ...]
+    """The presentation of a ring: its product relations, built once, and
+    its ell generators and kernel relations, read off the ring when asked
+    for."""
+
+    ring: CrRing
     product_relations: tuple[ProductRelation, ...]
+
+    @property
+    def generator_units(self) -> tuple[tuple[str, int], ...]:
+        """u, then a_j for every twisted sector, each with its degree in
+        units of 1/ell: 2 ell for u, the shift units of sector j for a_j."""
+        ring = self.ring
+        return (("u", 2 * ring.ell),) + tuple(
+            [(f"a{j}", ring._shift_units(j)) for j in range(1, ring.ell)]
+        )
+
+    @property
+    def generators(self) -> tuple[tuple[str, Fraction], ...]:
+        """u in degree 2, then a_j in degree 2 age(j) for every twisted sector."""
+        ell = self.ring.ell
+        return tuple((name, Fraction(units, ell)) for name, units in self.generator_units)
+
+    @property
+    def kernel_relations(self) -> tuple[KernelRelation, ...]:
+        """c_j u^{d_j} a_j = 0 for every sector j, in sector order."""
+        ring = self.ring
+        return tuple([KernelRelation(j, *ring.euler(j), ring) for j in range(ring.ell)])

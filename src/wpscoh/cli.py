@@ -7,12 +7,18 @@ Exit codes: 0 success, 1 failed invariant checks, 2 usage or parse
 errors.
 
 Each subcommand builds one document: a dict of library values
-(elements, groups, sector records, check results, weight vectors,
-fractions).  ``--format json`` prints that document in one pass:
-``_dump_json`` writes byte for byte what ``json.dumps(indent=2,
-sort_keys=True)`` writes for the document in JSON types, where
-``_json_value`` gives each library value's JSON form, and a graded
-listing renders each distinct group once.  Text and LaTeX are views of
+(elements, groups, sector records, relations, check results, weight
+vectors, fractions).  ``--format json`` prints that document in one
+pass: ``_dump_json`` writes byte for byte what ``json.dumps(indent=2,
+sort_keys=True)`` writes for the document in JSON types.  ``_chunk``
+writes each scalar and library value, and each dict of them, in one
+piece, and a list of such pieces is written as one; a graded listing
+renders each distinct group once, and a sector chart each distinct
+rational cell.  The ell-sized columns of ``chenruan`` (the sector
+chart, the generator degrees and the kernel relations) are written
+from integers: rotation numerators over ell, degree shifts in units of
+1/ell and the Euler data, each rational cell formatted by ``_ratio``,
+with no ``Fraction`` or element per sector.  Text and LaTeX are views of
 the document: one renderer per subcommand and format, named beside its
 handler in the parser, each reading only the document.  LaTeX leaves
 out the graded groups, the group listings and the torsion witness, so
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -115,11 +122,13 @@ def _degree_arg(text: str) -> Fraction:
     return value
 
 
-def _fr(x, latex: bool = False) -> str:
-    """Fractions as reduced p/q, or \\frac{p}{q} in LaTeX; integers plain."""
-    if latex and x.denominator != 1:
-        return r"\frac{%d}{%d}" % (x.numerator, x.denominator)
-    return str(x)
+def _ratio(p: int, q: int, latex: bool = False) -> str:
+    """p/q in lowest terms as ``str(Fraction(p, q))`` writes it, or
+    \\frac{p}{q} in LaTeX; integers plain."""
+    g = math.gcd(p, q)
+    if g == q:
+        return str(p // g)
+    return (r"\frac{%d}{%d}" if latex else "%d/%d") % (p // g, q // g)
 
 
 def _max_degree(args, n: int) -> Fraction:
@@ -160,27 +169,6 @@ class _Graded:
         return self.pairs
 
 
-def _json_value(x):
-    """The JSON form of one library value in a document, by its type."""
-    if isinstance(x, (Fraction, Element, KernelRelation)):
-        return str(x)
-    if isinstance(x, WeightVector):
-        return list(x.b)
-    if isinstance(x, SectorData):
-        return {
-            "j": x.j,
-            "a": [str(a) for a in x.a],
-            "fixed": x.fixed,
-            "euler": {"coefficient": x.c, "exponent": x.d},
-            "degree_shift": str(x.degree_shift),
-        }
-    if isinstance(x, ProductRelation):
-        return {"i": x.i, "j": x.j, "product": str(x.product)}
-    if isinstance(x, CheckResult):
-        return {"name": x.name, "passed": x.passed, "detail": x.detail}
-    raise TypeError(f"no JSON form for {type(x).__name__}")
-
-
 def _dump_json(doc) -> str:
     """What ``json.dumps(indent=2, sort_keys=True)`` writes for doc with
     each library value replaced by its JSON form, in one pass and
@@ -190,47 +178,97 @@ def _dump_json(doc) -> str:
     return "".join(chunks)
 
 
+# The values that ``_chunk`` writes in one piece inside a dict.  Not
+# Fraction: a failed isinstance against it, an ABC, is slow; a dict that
+# holds one is written key by key instead.
+_LEAVES = (str, int, type(None), KernelRelation, Element, ProductRelation, WeightVector, CheckResult)
+
+
+def _chunk(x, newline: str):
+    """The JSON text of a value written in one piece: a scalar, a library
+    value (an element, a relation, a weight vector, a check result, a
+    fraction) or a dict of such values.  None for the other values."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, dict):
+        # checked before any value is rendered, so none is rendered twice
+        for value in x.values():
+            if not isinstance(value, _LEAVES):
+                return None
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        parts = [f"{_quote(key)}: {_chunk(x[key], inner)}" for key in sorted(x)]
+        return f"{{{inner}{(',' + inner).join(parts)}{newline}}}"
+    if isinstance(x, (list, tuple)):
+        return None
+    if isinstance(x, (KernelRelation, Element)):
+        return _quote(str(x))
+    if isinstance(x, ProductRelation):
+        inner = newline + "  "
+        product = _quote(str(x.product))
+        return f'{{{inner}"i": {x.i},{inner}"j": {x.j},{inner}"product": {product}{newline}}}'
+    if isinstance(x, WeightVector):
+        inner = newline + "  "
+        return f"[{inner}{(',' + inner).join(map(str, x.b))}{newline}]"
+    if isinstance(x, CheckResult):
+        return _chunk({"name": x.name, "passed": x.passed, "detail": x.detail}, newline)
+    # last: a failed isinstance against Fraction, an ABC, is slow
+    if isinstance(x, Fraction):
+        return _quote(str(x))
+    return None
+
+
 def _write_json(x, newline: str, emit) -> None:
     """Emit the JSON text of x; newline is a line break followed by the
     indent of the line x starts on."""
-    if isinstance(x, str):
-        emit(_quote(x))
-    elif x is None:
-        emit("null")
-    elif x is True:
-        emit("true")
-    elif x is False:
-        emit("false")
-    elif isinstance(x, int):
-        emit(int.__repr__(x))
-    elif isinstance(x, dict):
-        if not x:
-            emit("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(x):
-            emit(f"{sep}{_quote(key)}: ")
-            _write_json(x[key], inner, emit)
-            sep = "," + inner
-        emit(newline + "}")
-    elif isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple)):
         if not x:
             emit("[]")
             return
+        if isinstance(x[0], SectorData):
+            emit(_sectors_json(x, newline))
+            return
         inner = newline + "  "
+        texts = [_chunk(item, inner) for item in x]
+        if None not in texts:
+            emit(f"[{inner}{(',' + inner).join(texts)}{newline}]")
+            return
         sep = "[" + inner
-        for item in x:
+        for item, text in zip(x, texts):
             emit(sep)
-            _write_json(item, inner, emit)
+            if text is None:
+                _write_json(item, inner, emit)
+            else:
+                emit(text)
             sep = "," + inner
         emit(newline + "]")
     elif isinstance(x, _Graded):
         _write_listing(x.pairs, lambda d: _quote(str(d)), newline, emit)
     elif isinstance(x, GradedGroups):
-        _write_listing(x.items(), lambda d: _dump_json(_degree_json(d)), newline, emit)
+        _write_listing(x.items(), lambda d: _chunk(_degree_json(d), newline), newline, emit)
     else:
-        _write_json(_json_value(x), newline, emit)
+        text = _chunk(x, newline)
+        if text is not None:
+            emit(text)
+        elif isinstance(x, dict):
+            inner = newline + "  "
+            sep = "{" + inner
+            for key in sorted(x):
+                emit(f"{sep}{_quote(key)}: ")
+                _write_json(x[key], inner, emit)
+                sep = "," + inner
+            emit(newline + "}")
+        else:
+            raise TypeError(f"no JSON form for {type(x).__name__}")
 
 
 def _write_listing(pairs, degree_text, newline: str, emit) -> None:
@@ -255,6 +293,27 @@ def _write_listing(pairs, degree_text, newline: str, emit) -> None:
         emit(f"{sep}{head}{degree_text(degree)}{middle}{text}{tail}")
         sep = "," + entry
     emit(newline + "]")
+
+
+def _sectors_json(records, newline: str) -> str:
+    """The JSON text of a list of sector records, written from their
+    integers; each distinct rational cell is formatted once per list."""
+    inner = newline + "  "
+    field = inner + "  "
+    item = field + "  "
+    template = (
+        f'{{{field}"a": [{item}"%s"{field}],{field}"degree_shift": "%s",'
+        f'{field}"euler": {{{item}"coefficient": %d,{item}"exponent": %d{field}}},'
+        f'{field}"fixed": %s,{field}"j": %d{inner}}}'
+    )
+    cell = functools.lru_cache(maxsize=None)(_ratio)
+    texts = []
+    for s in records:
+        ell, fixed = s.ell, s.fixed
+        fixed = f"[{item}{(',' + item).join(map(str, fixed))}{field}]" if fixed else "[]"
+        a = f'",{item}"'.join([cell(t, ell) for t in s.rotations])
+        texts.append(template % (a, cell(s.shift_units, ell), s.c, s.d, fixed, s.j))
+    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
 
 
 def _group_json(group, newline: str) -> str:
@@ -292,11 +351,8 @@ def _listing(groups) -> list:
 
 
 def _table(rows) -> str:
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    )
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.ljust, row, widths)).rstrip() for row in rows)
 
 
 # -- sector table -----------------------------------------------------------
@@ -341,14 +397,16 @@ def _sector_rows(doc, latex: bool = False):
         locus = _LOCUS_TEXT
         labels = ("sector", "fixed locus", "2*age", "generator", "euler class")
         sector, rotation, generator = "zeta_%d", "a_(%d)", "a%d"
+    ell = doc["ell"]
+    cell = functools.lru_cache(maxsize=None)(_ratio)
     rows = [
         (labels[0], [sector % s.j for s in sectors]),
         (labels[1], [_locus(weights, s.fixed, locus) for s in sectors]),
     ]
     for w in sorted(set(weights.b)):
         k = weights.b.index(w)
-        rows.append((rotation % w, [_fr(s.a[k], latex) for s in sectors]))
-    rows.append((labels[2], [_fr(s.degree_shift, latex) for s in sectors]))
+        rows.append((rotation % w, [cell(s.rotations[k], ell, latex) for s in sectors]))
+    rows.append((labels[2], [cell(s.shift_units, ell, latex) for s in sectors]))
     rows.append((labels[3], [generator % s.j for s in sectors]))
     rows.append((labels[4], [_euler_label(s.c, s.d, latex) for s in sectors]))
     return rows
@@ -382,7 +440,10 @@ def _cmd_chenruan(args) -> dict:
         doc["sectors"] = list(ring.sectors)
     if "presentation" in sections:
         pres = ring.presentation()
-        doc["generators"] = [{"name": name, "degree": deg} for name, deg in pres.generators]
+        doc["generators"] = [
+            {"name": name, "degree": _ratio(units, ring.ell)}
+            for name, units in pres.generator_units
+        ]
         doc["relations"] = {"J": pres.kernel_relations, "I": pres.product_relations}
         if args.format != "latex":
             doc["graded"] = _Graded(max_degree, ring.graded_dimensions(max_degree))
@@ -432,7 +493,7 @@ def _chenruan_latex(doc) -> str:
         gens = ", ".join(
             "u" if g["name"] == "u" else r"\alpha_{%s}" % g["name"][1:] for g in doc["generators"]
         )
-        rels = ", ".join(rel.element.render(latex=True) for rel in doc["relations"]["J"])
+        rels = ", ".join(rel.render(latex=True) for rel in doc["relations"]["J"])
         blocks.append(r"\mathbb{Z}[%s]/(\mathcal{I} + \langle %s \rangle)" % (gens, rels))
         blocks.append(_products_latex(doc["relations"]["I"], ""))
     if "mult_table" in doc:

@@ -169,14 +169,19 @@ class KawasakiRing(Algebra):
         )
 
     def presentation(self) -> "KawasakiPresentation":
+        """Generators g1..gn with their degrees, and the product g_k g_m
+        for every k <= m, each the monomial
+        (ell_k ell_m / ell_{k+m}) g_{k+m} read off ``_raw_product``, or
+        zero above the top degree."""
         n = self.weights.n
         gens = tuple((f"g{k}", 2 * k) for k in range(1, n + 1))
-        rels = tuple(
-            (k, m, self.gamma_product(k, m))
-            for k in range(1, n + 1)
-            for m in range(k, n + 1)
-        )
-        return KawasakiPresentation(self.ell_table, gens, rels, self.g1_power_spans())
+        rels = []
+        for k in range(1, n + 1):
+            for m in range(k, n + 1):
+                constant = self._raw_product(k, m)
+                parts = {} if constant is None else {constant[2]: {0: constant[0]}}
+                rels.append((k, m, KawasakiElement(self, parts)))
+        return KawasakiPresentation(self.ell_table, gens, tuple(rels), self.g1_power_spans())
 
     def symbol_element(self, name: str) -> "KawasakiElement":
         if name.startswith("g"):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpscoh.abelian import FgAbGroup, Z, cyclic
-from wpscoh.chenruan import CrRing, sectors
+from wpscoh.chenruan import CrRing, SectorData, sectors
 from wpscoh.orbifold import OrbifoldRing
 from wpscoh.verify import star_associativity_scan
 
@@ -297,3 +299,81 @@ def test_grading_additive_property(b):
             p = ring.star(x, y)
             if not p.is_zero:
                 assert p.degree() == x.degree() + y.degree()
+
+
+def test_sectors_sequence_slices_and_negative_indices():
+    ring = CrRing((2, 3))
+    records = [ring.sector(j) for j in range(ring.ell)]
+    assert list(ring.sectors) == records
+    assert ring.sectors[1:3] == records[1:3]
+    for index in (slice(None, None, -1), slice(-2, None), slice(4, 1, -2), slice(9, 20)):
+        assert ring.sectors[index] == records[index]
+    assert ring.sectors[-1] == records[-1] and ring.sectors[-6] == records[0]
+    for j in (6, -7):
+        with pytest.raises(IndexError):
+            ring.sectors[j]
+
+
+@given(weight_vectors)
+@settings(max_examples=40, deadline=None)
+def test_sector_records_from_integers_match_their_fractions(b):
+    """A record the ring builds from integers equals the record built
+    from its fractions, and iterating gives the records indexing gives."""
+    ring = CrRing(b)
+    ell = ring.ell
+    for j, s in enumerate(ring.sectors):
+        assert s == ring.sector(j) and hash(s) == hash(ring.sector(j))
+        assert s.rotations == ring.rotations(j) and s.ell == ell
+        assert s.shift_units == 2 * sum(ring.rotations(j)) and (s.c, s.d) == ring.euler(j)
+        assert s.a == tuple(Fraction(t, ell) for t in s.rotations)
+        assert s.degree_shift == Fraction(s.shift_units, ell) == 2 * sum(s.a)
+        built = SectorData(j=j, a=s.a, fixed=s.fixed, c=s.c, d=s.d, degree_shift=s.degree_shift)
+        assert built == s and repr(built) == repr(s)
+
+
+def test_sector_records_are_shared_immutable_values():
+    ring = CrRing((4, 9, 14))
+    assert all(s is ring.sector(j) for j, s in enumerate(ring.sectors))
+    s = ring.sector(7)
+    before = (repr(s), hash(s))
+    for field in ("j", "rotations", "ell", "c", "d", "a", "fixed", "degree_shift", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, 7)
+    for field in ("c", "rotations"):
+        with pytest.raises(AttributeError):
+            delattr(s, field)
+    assert (repr(s), hash(s)) == before == (repr(ring.sector(7)), hash(ring.sector(7)))
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert twin == s and repr(twin) == repr(s) and hash(twin) == hash(s)
+
+
+def test_iterating_sectors_reads_rotations(monkeypatch):
+    """Iteration builds records through ``CrRing.rotations``, as indexing does."""
+    monkeypatch.setattr(CrRing, "rotations", lambda ring, j: (j,) * len(ring.weights.b))
+    ring = CrRing((2, 3))
+    assert [s.rotations for s in ring.sectors] == [(j, j) for j in range(6)]
+
+
+def test_presentation_generator_units_give_the_generator_degrees():
+    for b in ((1, 2), B, (4, 9, 14)):
+        pres = CrRing(b).presentation()
+        ell = pres.ring.ell
+        assert pres.generator_units[0] == ("u", 2 * ell)
+        assert pres.generators == tuple(
+            (name, Fraction(units, ell)) for name, units in pres.generator_units
+        )
+        assert [name for name, _ in pres.generators] == ["u"] + [f"a{j}" for j in range(1, ell)]
+
+
+def test_sector_record_fields_must_agree():
+    with pytest.raises(ValueError):
+        SectorData(j=1, a=(F(1, 2), F(0)), fixed=(), c=3, d=1, degree_shift=F(1))
+    with pytest.raises(ValueError):
+        SectorData(j=1, a=(F(1, 2), F(0)), fixed=(1,), c=3, d=1, degree_shift=F(2))
+
+
+def test_mult_table_matches_element_products():
+    for b in (B, (4, 9, 14), (2, 2, 6)):
+        ring = CrRing(b)
+        for (i, j), product in ring.mult_table().items():
+            assert product == ring.generator(i) * ring.generator(j)

@@ -219,3 +219,17 @@ def test_table_identities_survive_python_optimize():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.stdout == "raised\n", proc.stderr
+
+
+@given(weight_vectors)
+@settings(max_examples=60, deadline=None)
+def test_presentation_relations_are_generator_products(b):
+    ring = KawasakiRing(b)
+    n = ring.weights.n
+    pres = ring.presentation()
+    assert [(k, m) for k, m, _ in pres.relations] == [
+        (k, m) for k in range(1, n + 1) for m in range(k, n + 1)
+    ]
+    for k, m, product in pres.relations:
+        assert product == ring.gamma_product(k, m)
+        assert product.parts == ring._normal(product.parts).parts
