@@ -7,7 +7,7 @@ computations.
 
 from .abelian import FgAbGroup, GradedGroups
 from .arith import WeightVector, gcd_all, lcm_all, residue, rotation_number
-from .chenruan import CrElement, CrRing, SectorData, sectors
+from .chenruan import CrElement, CrRing, SectorData
 from .expr import EvalError, ParseError, evaluate, parse, unparse
 from .kawasaki import KawasakiElement, KawasakiRing, subset_lcm_table
 from .kunneth import ProductGroups, odd_torsion_witness, product_groups
@@ -42,7 +42,6 @@ __all__ = [
     "residue",
     "rotation_number",
     "run_checks",
-    "sectors",
     "subset_lcm_table",
     "unparse",
 ]

@@ -18,10 +18,13 @@ Euler class c_j u^{d_j} and constants read off the rotation numbers.
 
 An ``Element`` stores {basis: {u-exponent: coefficient}}; in normal form
 each coefficient at an exponent >= d of its annihilator lies in [0, c),
-and no zero coefficient or empty basis entry is kept.  A ring
-(``Algebra``) supplies the four facts above through ``_raw_product``,
-``_annihilator``, ``_shift`` and ``_variable``; the bilinear product,
-the normal form, square-and-multiply and the printer exist here once.
+and no zero coefficient or empty basis entry is kept.  Every element a
+ring builds is in normal form; the one exception is the sector ring's
+kernel relation c_j u^{d_j} a_j, built as it stands so that it prints.
+A ring (``Algebra``) supplies the four facts above through
+``_raw_product``, ``_annihilator``, ``_shift`` and ``_variable``; the
+bilinear product, the normal form, square-and-multiply and the printer
+exist here once.
 """
 
 from __future__ import annotations
@@ -92,22 +95,22 @@ class Algebra:
 
     # -- elements ----------------------------------------------------------------
 
-    def _from_parts(self, parts: dict, reduce: bool = True) -> "Element":
-        """Validate {basis: {u-exponent: coefficient}} and build an element,
-        in normal form unless ``reduce`` is false."""
+    def _from_parts(self, parts: dict) -> "Element":
+        """Validate {basis: {u-exponent: coefficient}} and build an element
+        in normal form."""
         for j, poly in parts.items():
             self._check_basis(j)
             for m in poly:
                 if not isinstance(m, int) or m < 0:
                     raise ValueError(f"u-exponents must be non-negative integers, got {m!r}")
-        return self._normal(parts, reduce)
+        return self._normal(parts)
 
-    def _normal(self, parts: dict, reduce: bool = True) -> "Element":
-        """The element of valid parts, without zero coefficients and, if
-        ``reduce``, with each coefficient reduced by its annihilator."""
+    def _normal(self, parts: dict) -> "Element":
+        """The element of valid parts, without zero coefficients and with
+        each coefficient reduced by its annihilator."""
         out = {}
         for j, poly in parts.items():
-            rel = self._annihilator(j) if reduce else None
+            rel = self._annihilator(j)
             q = {}
             for m, c in poly.items():
                 if rel is not None and m >= rel[1]:

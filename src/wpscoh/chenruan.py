@@ -166,16 +166,12 @@ class SectorData:
 class CrElement(Element):
     """Finitely supported map sector -> integer polynomial in u.
 
-    Held in per-sector normal form unless produced by the kernel-relation
-    emitter.
+    Held in per-sector normal form, except the kernel relations that
+    ``CrRing.kernel_relation`` builds as they stand.
     """
 
     __slots__ = ()
     __pow__ = Element.__pow__  # its own name, for perfbench/tracing.py
-
-    def reduced(self) -> "CrElement":
-        """Normal form (only relevant for raw kernel generators)."""
-        return self.ring.element(self.parts)
 
 
 class CrRing(Algebra):
@@ -252,13 +248,10 @@ class CrRing(Algebra):
 
     # -- elements -----------------------------------------------------------
 
-    def element(self, parts: dict, reduce: bool = True) -> CrElement:
-        """Build an element from {sector: {u-exponent: coefficient}}.
-
-        With ``reduce=False`` the parts are stored as given; only the
-        kernel-relation emitter uses that, for display.
-        """
-        return self._from_parts(parts, reduce)
+    def element(self, parts: dict) -> CrElement:
+        """Build an element in normal form from {sector: {u-exponent:
+        coefficient}}."""
+        return self._from_parts(parts)
 
     def u(self, power: int = 1, coeff: int = 1) -> CrElement:
         return self.element({0: {power: coeff}})
@@ -332,7 +325,7 @@ class CrRing(Algebra):
         """The sector-j kernel generator c_j u^{d_j} (times the sector
         generator), before reduction; its normal form is zero."""
         c, d = self.euler(j)
-        return self.element({j: {d: c}}, reduce=False)
+        return CrElement(self, {j: {d: c}})
 
     def mult_table(self) -> dict:
         """Products of all nonzero twisted generators, keyed by (i, j), i <= j."""
@@ -474,11 +467,6 @@ class CrRing(Algebra):
             f"unknown symbol {name!r} for the sector ring of {self.weights}: "
             "use u and a0..a%d" % (self.ell - 1)
         )
-
-
-def sectors(weights) -> CrRing:
-    """Construct the sector ring (alias for the CrRing constructor)."""
-    return CrRing(weights)
 
 
 class _Sectors(Sequence):

@@ -6,24 +6,26 @@ take --weights (comma-separated positive integers) and --format
 Exit codes: 0 success, 1 failed invariant checks, 2 usage or parse
 errors.
 
-Each subcommand builds one document: a dict of library values
-(elements, groups, sector records, relations, check results, weight
-vectors, fractions).  ``--format json`` prints that document in one
-pass: ``_dump_json`` writes byte for byte what ``json.dumps(indent=2,
-sort_keys=True)`` writes for the document in JSON types.  ``_chunk``
-writes each scalar and library value, and each dict of them, in one
-piece, and a list of such pieces is written as one; a graded listing
-renders each distinct group once, and a sector chart each distinct
-rational cell.  The ell-sized columns of ``chenruan`` (the sector
-chart, the generator degrees and the kernel relations) are written
-from integers: rotation numerators over ell, degree shifts in units of
-1/ell and the Euler data, each rational cell formatted by ``_ratio``,
-with no ``Fraction`` or element per sector.  Text and LaTeX are views of
-the document: one renderer per subcommand and format, named beside its
-handler in the parser, each reading only the document.  LaTeX leaves
-out the graded groups, the group listings and the torsion witness, so
-a LaTeX document does not compute them.  ``main`` is the only place
-that prints a result or picks the exit code.
+Each subcommand builds one document: a dict of JSON scalars, lists and
+library values (elements, graded groups, sector records, relations,
+check results, weight vectors).  ``--format json`` prints that document
+in one walk: ``_json`` writes byte for byte what ``json.dumps(indent=2,
+sort_keys=True)`` writes for the document in JSON types.  It writes
+scalars, dicts, lists and tuples itself, a list of sector records
+through ``_sectors_json``, and every other library value through the
+writer that ``_WRITERS`` holds for its type; a value of any other type
+raises ``TypeError``.  A graded listing renders each distinct group
+once, and a sector chart each distinct rational cell.  The ell-sized
+columns of ``chenruan`` (the sector chart, the generator degrees and the
+kernel relations) are written from integers: rotation numerators over
+ell, degree shifts in units of 1/ell and the Euler data, each rational
+cell formatted by ``_ratio``, with no ``Fraction`` or element per
+sector.  Text and LaTeX are views of the document: one renderer per
+subcommand and format, named beside its handler in the parser, each
+reading only the document.  LaTeX leaves out the graded groups, the
+group listings and the torsion witness, so a LaTeX document does not
+compute them.  ``main`` is the only place that prints a result or picks
+the exit code.
 
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the process, so an in-process caller pays for
@@ -33,9 +35,12 @@ Inputs whose output or work would grow without bound exit 2 with a
 one-line message: more than ``MAX_WEIGHTS`` weights in one vector, a
 ``--max-degree`` above ``MAX_DEGREE_LIMIT``, a sector chart,
 presentation or ``check`` with more than ``DENSE_SECTOR_LIMIT`` sectors,
-a presentation, multiplication table or ``check`` with more than
-``PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors, and an ``eval``
-product of more than ``algebra.MAX_PRODUCT_PAIRS`` monomial pairs.
+a sector ring for ``chenruan`` or ``eval`` that would index more than
+``DENSE_SECTOR_LIMIT`` nonzero sectors (min(ell, sum of the weights)
+bounds their number), a presentation, multiplication table or ``check``
+with more than ``PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors, and an
+``eval`` product of more than ``algebra.MAX_PRODUCT_PAIRS`` monomial
+pairs.
 """
 
 from __future__ import annotations
@@ -50,19 +55,21 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from .abelian import GradedGroups, _degree_json
-from .algebra import Element, monomial, u_power
+from .algebra import monomial, u_power
 from .arith import WeightVector
-from .chenruan import CrRing, KernelRelation, ProductRelation, SectorData
+from .chenruan import CrElement, CrRing, KernelRelation, ProductRelation, SectorData
 from .expr import EvalError, ParseError, evaluate, parse
-from .kawasaki import KawasakiRing
+from .kawasaki import KawasakiElement, KawasakiRing
 from .kunneth import product_groups
-from .orbifold import OrbifoldRing
+from .orbifold import OrbifoldElement, OrbifoldRing
 from .verify import CheckResult, run_checks
 
 # Output with one column or generator per sector (the sector chart, the
 # presentation) and check, whose residue walks cost ell / b per distinct
 # weight b, refuse rings with more sectors than this.  The multiplication
-# table and eval see only the nonzero sectors.
+# table and eval see only the nonzero sectors, which a sector ring
+# indexes when it is built; they refuse weights with more than this many
+# possible nonzero sectors, min(ell, sum of the weights).
 DENSE_SECTOR_LIMIT = 100_000
 
 # More weights than this in one vector are refused.  The coarse ring of
@@ -87,6 +94,18 @@ def _require_dense(ell: int, what: str) -> None:
             f"{what} walks all ell = {ell} sectors, more than the limit of "
             f"{DENSE_SECTOR_LIMIT}; chenruan --multtable and eval still work"
         )
+
+
+def _sector_ring(weights: WeightVector) -> CrRing:
+    """The sector ring, refused before it indexes more than
+    ``DENSE_SECTOR_LIMIT`` nonzero sectors."""
+    bound = min(weights.ell, sum(weights.b))
+    if bound > DENSE_SECTOR_LIMIT:
+        raise ValueError(
+            f"the sector ring indexes up to min(ell, sum of the weights) = {bound} "
+            f"nonzero sectors, more than the limit of {DENSE_SECTOR_LIMIT}"
+        )
+    return CrRing(weights)
 
 
 def _require_products(ring: CrRing, what: str) -> None:
@@ -171,23 +190,16 @@ class _Graded:
 
 def _dump_json(doc) -> str:
     """What ``json.dumps(indent=2, sort_keys=True)`` writes for doc with
-    each library value replaced by its JSON form, in one pass and
-    without building that copy."""
-    chunks = []
-    _write_json(doc, "\n", chunks.append)
-    return "".join(chunks)
+    each library value replaced by its JSON form, without building that
+    copy."""
+    return _json(doc, "\n")
 
 
-# The values that ``_chunk`` writes in one piece inside a dict.  Not
-# Fraction: a failed isinstance against it, an ABC, is slow; a dict that
-# holds one is written key by key instead.
-_LEAVES = (str, int, type(None), KernelRelation, Element, ProductRelation, WeightVector, CheckResult)
-
-
-def _chunk(x, newline: str):
-    """The JSON text of a value written in one piece: a scalar, a library
-    value (an element, a relation, a weight vector, a check result, a
-    fraction) or a dict of such values.  None for the other values."""
+def _json(x, newline: str) -> str:
+    """The JSON text of x: a JSON scalar, a dict, list or tuple of such
+    values, or a library value that ``_WRITERS`` has a writer for.
+    newline is a line break followed by the indent of the line x starts
+    on."""
     if isinstance(x, str):
         return _quote(x)
     if x is None:
@@ -198,101 +210,45 @@ def _chunk(x, newline: str):
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
+    inner = newline + "  "
     if isinstance(x, dict):
-        # checked before any value is rendered, so none is rendered twice
-        for value in x.values():
-            if not isinstance(value, _LEAVES):
-                return None
         if not x:
             return "{}"
-        inner = newline + "  "
-        parts = [f"{_quote(key)}: {_chunk(x[key], inner)}" for key in sorted(x)]
-        return f"{{{inner}{(',' + inner).join(parts)}{newline}}}"
-    if isinstance(x, (list, tuple)):
-        return None
-    if isinstance(x, (KernelRelation, Element)):
-        return _quote(str(x))
-    if isinstance(x, ProductRelation):
-        inner = newline + "  "
-        product = _quote(str(x.product))
-        return f'{{{inner}"i": {x.i},{inner}"j": {x.j},{inner}"product": {product}{newline}}}'
-    if isinstance(x, WeightVector):
-        inner = newline + "  "
-        return f"[{inner}{(',' + inner).join(map(str, x.b))}{newline}]"
-    if isinstance(x, CheckResult):
-        return _chunk({"name": x.name, "passed": x.passed, "detail": x.detail}, newline)
-    # last: a failed isinstance against Fraction, an ABC, is slow
-    if isinstance(x, Fraction):
-        return _quote(str(x))
-    return None
-
-
-def _write_json(x, newline: str, emit) -> None:
-    """Emit the JSON text of x; newline is a line break followed by the
-    indent of the line x starts on."""
+        items = [f"{_quote(key)}: {_json(x[key], inner)}" for key in sorted(x)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(x, (list, tuple)):
         if not x:
-            emit("[]")
-            return
+            return "[]"
         if isinstance(x[0], SectorData):
-            emit(_sectors_json(x, newline))
-            return
-        inner = newline + "  "
-        texts = [_chunk(item, inner) for item in x]
-        if None not in texts:
-            emit(f"[{inner}{(',' + inner).join(texts)}{newline}]")
-            return
-        sep = "[" + inner
-        for item, text in zip(x, texts):
-            emit(sep)
-            if text is None:
-                _write_json(item, inner, emit)
-            else:
-                emit(text)
-            sep = "," + inner
-        emit(newline + "]")
-    elif isinstance(x, _Graded):
-        _write_listing(x.pairs, lambda d: _quote(str(d)), newline, emit)
-    elif isinstance(x, GradedGroups):
-        _write_listing(x.items(), lambda d: _chunk(_degree_json(d), newline), newline, emit)
-    else:
-        text = _chunk(x, newline)
-        if text is not None:
-            emit(text)
-        elif isinstance(x, dict):
-            inner = newline + "  "
-            sep = "{" + inner
-            for key in sorted(x):
-                emit(f"{sep}{_quote(key)}: ")
-                _write_json(x[key], inner, emit)
-                sep = "," + inner
-            emit(newline + "}")
-        else:
-            raise TypeError(f"no JSON form for {type(x).__name__}")
+            return _sectors_json(x, newline)
+        items = [_json(item, inner) for item in x]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    writer = _WRITERS.get(type(x))
+    if writer is None:
+        raise TypeError(f"no JSON form for {type(x).__name__}")
+    return writer(x, newline)
 
 
-def _write_listing(pairs, degree_text, newline: str, emit) -> None:
-    """Emit [{"degree": ..., "group": ...}, ...], one chunk per entry.
+def _write_listing(pairs, degree_text, newline: str) -> str:
+    """The JSON text of [{"degree": ..., "group": ...}, ...].
 
     The change-point sweep and OrbifoldRing.groups share a few group
     objects across many degrees, so each distinct group is rendered once
     and its text reused.
     """
     if not pairs:
-        emit("[]")
-        return
+        return "[]"
     entry = newline + "  "
     field = entry + "  "
     head, middle, tail = "{" + field + '"degree": ', "," + field + '"group": ', entry + "}"
     rendered = {}
-    sep = "[" + entry
+    texts = []
     for degree, group in pairs:
         text = rendered.get(group)
         if text is None:
             text = rendered[group] = _group_json(group, field)
-        emit(f"{sep}{head}{degree_text(degree)}{middle}{text}{tail}")
-        sep = "," + entry
-    emit(newline + "]")
+        texts.append(f"{head}{degree_text(degree)}{middle}{text}{tail}")
+    return f"[{entry}{(',' + entry).join(texts)}{newline}]"
 
 
 def _sectors_json(records, newline: str) -> str:
@@ -324,6 +280,35 @@ def _group_json(group, newline: str) -> str:
         item = inner + "  "
         torsion = f"[{item}{(',' + item).join(map(str, group.torsion))}{inner}]"
     return f'{{{inner}"free_rank": {group.free_rank},{inner}"torsion": {torsion}{newline}}}'
+
+
+def _product_json(rel: ProductRelation, newline: str) -> str:
+    inner = newline + "  "
+    product = _quote(str(rel.product))
+    return f'{{{inner}"i": {rel.i},{inner}"j": {rel.j},{inner}"product": {product}{newline}}}'
+
+
+def _quoted(x, newline: str) -> str:
+    return _quote(str(x))
+
+
+# The JSON form of each library value a document holds, by exact type.
+_WRITERS = {
+    CrElement: _quoted,
+    KawasakiElement: _quoted,
+    OrbifoldElement: _quoted,
+    KernelRelation: _quoted,
+    ProductRelation: _product_json,
+    WeightVector: lambda w, newline: _json(w.b, newline),
+    CheckResult: lambda r, newline: _json(
+        {"name": r.name, "passed": r.passed, "detail": r.detail}, newline
+    ),
+    GradedGroups: lambda g, newline: _write_listing(
+        g.items(), lambda d: _json(_degree_json(d), newline), newline
+    ),
+    # chenruan writes every degree as p/q, the integral ones too
+    _Graded: lambda g, newline: _write_listing(g.pairs, lambda d: _quote(str(d)), newline),
+}
 
 
 # -- shared pieces of the views -------------------------------------------------
@@ -426,11 +411,11 @@ def _sector_table_latex(doc) -> str:
 
 
 def _cmd_chenruan(args) -> dict:
-    ring = CrRing(args.weights)
     sections = {s for s in ("sectors", "presentation", "multtable") if getattr(args, s)}
     sections = sections or {"sectors", "presentation"}
     if sections & {"sectors", "presentation"}:
-        _require_dense(ring.ell, "the sector chart or presentation")
+        _require_dense(args.weights.ell, "the sector chart or presentation")
+    ring = _sector_ring(args.weights)
     if sections & {"presentation", "multtable"}:
         _require_products(ring, "the presentation and multiplication table list")
     max_degree = _max_degree(args, ring.weights.n)
@@ -631,7 +616,7 @@ def _kunneth_latex(doc) -> str:
 # -- eval -----------------------------------------------------------------------------
 
 
-_RINGS = {"kawasaki": KawasakiRing, "orbifold": OrbifoldRing, "chenruan": CrRing}
+_RINGS = {"kawasaki": KawasakiRing, "orbifold": OrbifoldRing, "chenruan": _sector_ring}
 
 
 def _cmd_eval(args) -> dict:

@@ -70,12 +70,10 @@ class OrbifoldRing(Algebra):
         Coefficients at exponents >= n+1 land in [0, N); lower ones are
         untouched.
 
-        >>> OrbifoldRing((1, 2)).normal_form({2: 4, 1: 3})
+        >>> OrbifoldRing((1, 2)).element({2: 4, 1: 3})
         <3u in Z[u]/<2u^2>>
         """
         return self._from_parts({0: coeffs})
-
-    normal_form = element
 
     def u(self, power: int = 1, coeff: int = 1) -> OrbifoldElement:
         return self.element({power: coeff})
@@ -124,13 +122,6 @@ class OrbifoldRing(Algebra):
         raise ValueError(
             f"unknown symbol {name!r} for the orbifold ring of {self.weights}: only u is available"
         )
-
-    def to_json(self, max_degree: int) -> dict:
-        return {
-            "weights": list(self.weights.b),
-            "relation": {"coefficient": self.N, "exponent": self.top},
-            "groups": self.groups(max_degree).to_json(),
-        }
 
     def __str__(self):
         return f"Z[u]/<{self.N}u^{self.top}>"

@@ -156,7 +156,7 @@ def test_ring_laws(case):
     assert ring.one() * x == x
     assert hash(x + y) == hash(y + x)
     if isinstance(ring, CrRing):
-        assert (x + y).reduced() == x + y
+        assert ring.element((x + y).parts) == x + y
 
 
 @given(ring_and_pair())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpscoh.abelian import FgAbGroup, Z, cyclic
-from wpscoh.chenruan import CrRing, SectorData, sectors
+from wpscoh.chenruan import CrElement, CrRing, SectorData
 from wpscoh.orbifold import OrbifoldRing
 from wpscoh.verify import star_associativity_scan
 
@@ -21,7 +21,7 @@ def F(p, q=1):
 
 
 def test_sector_chart_values():
-    ring = sectors(B)
+    ring = CrRing(B)
     assert ring.ell == 6
 
     s1 = ring.sector(1)
@@ -43,7 +43,7 @@ def test_sector_chart_values():
 
 def test_identity_sector_matches_ambient_data():
     for b in (B, (1, 1), (2, 2), (5,)):
-        ring = sectors(b)
+        ring = CrRing(b)
         s0 = ring.sector(0)
         assert s0.fixed == tuple(range(ring.weights.n + 1))
         assert s0.c == ring.weights.N
@@ -52,7 +52,7 @@ def test_identity_sector_matches_ambient_data():
 
 
 def test_smooth_case_single_sector():
-    ring = sectors((1, 1, 1))
+    ring = CrRing((1, 1, 1))
     assert ring.ell == 1
     s0 = ring.sector(0)
     assert (s0.c, s0.d, s0.degree_shift) == (1, 3, 0)
@@ -103,7 +103,7 @@ def test_kernel_relation_examples():
     assert str(ring.kernel_relation(3)) == "4u^2a3"
     assert str(ring.kernel_relation(1)) == "a1"
     for j in range(ring.ell):
-        assert ring.kernel_relation(j).reduced().is_zero
+        assert ring.element(ring.kernel_relation(j).parts).is_zero
 
 
 def test_degree_examples():
@@ -111,7 +111,7 @@ def test_degree_examples():
     # the sector-5 monomial sits in degree 22/3 (its generator reduces to
     # zero, so the value lives on the sector record)
     assert ring.sector(5).degree_shift == F(22, 3)
-    assert ring.element({5: {0: 1}}, reduce=False).degree() == F(22, 3)
+    assert CrElement(ring, {5: {0: 1}}).degree() == F(22, 3)
     assert ring.u(2).degree() == 4
     assert (ring.generator(2) + ring.u()).degree() is None
     with pytest.raises(ValueError):

@@ -347,6 +347,30 @@ def test_listed_products_are_bounded(capsys, sections):
     assert "99990 nonzero twisted sectors, more than the limit of 1000" in err
 
 
+@pytest.mark.parametrize("argv", [("eval", "--ring", "chenruan", "u"), ("chenruan", "--multtable")])
+def test_sector_index_is_bounded(capsys, monkeypatch, argv):
+    # a ring of 1,1000000000 would index 10^9 nonzero sectors, about 200 GB,
+    # so a ring built before the refusal fails the test instead
+    def refuse(weights):
+        raise AssertionError("the sector ring was built before the bound was checked")
+
+    monkeypatch.setattr("wpscoh.cli.CrRing", refuse)
+    code, out, err = run_cli(capsys, argv[0], "--weights", "1,1000000000", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the sector ring indexes up to min(ell, sum of the weights) = 1000000000 "
+        "nonzero sectors, more than the limit of 100000\n"
+    )
+
+
+def test_sector_index_limit_boundary(capsys, monkeypatch):
+    monkeypatch.setattr("wpscoh.cli.DENSE_SECTOR_LIMIT", 5)
+    # (2,3): ell 6 but sum 5; (3,3,3): sum 9 but ell 3; (1,2,3): both 6
+    for weights, code in (("2,3", 0), ("3,3,3", 0), ("1,2,3", 2)):
+        assert run_cli(capsys, "eval", "--weights", weights, "--ring", "chenruan", "u")[0] == code
+        assert run_cli(capsys, "chenruan", "--weights", weights, "--multtable")[0] == code
+
+
 def test_product_limit_boundary(capsys, monkeypatch):
     monkeypatch.setattr("wpscoh.cli.PRODUCT_SECTOR_LIMIT", 3)
     # (1,2,3) has 3 nonzero twisted sectors, (2,3,4) has 5

@@ -92,13 +92,6 @@ def test_degree():
         r.zero().degree()
 
 
-def test_to_json_schema():
-    doc = make((1, 2)).to_json(4)
-    assert doc["relation"] == {"coefficient": 2, "exponent": 2}
-    assert doc["weights"] == [1, 2]
-    assert doc["groups"][0] == {"degree": 0, "group": {"free_rank": 1, "torsion": []}}
-
-
 @given(weight_vectors, st.data())
 @settings(max_examples=50, deadline=None)
 def test_ring_laws(b, data):

@@ -31,7 +31,7 @@ from test_golden import ALL_GOLDEN
 from wpscoh import cli
 from wpscoh.algebra import Element, monomial, u_power
 from wpscoh.arith import WeightVector
-from wpscoh.chenruan import CrRing
+from wpscoh.chenruan import CrElement, CrRing
 
 FORMATS = ("text", "json", "latex")
 FLAGS = ("--sectors", "--presentation", "--multtable")
@@ -120,7 +120,7 @@ def old_document(argv):
         gens = [("u", Fraction(2))] + [(f"a{s.j}", s.degree_shift) for s in sectors[1:]]
         doc["generators"] = [{"name": name, "degree": deg} for name, deg in gens]
         kernel = tuple(
-            OldKernelRelation(s.j, s.c, s.d, ring.element({s.j: {s.d: s.c}}, reduce=False))
+            OldKernelRelation(s.j, s.c, s.d, CrElement(ring, {s.j: {s.d: s.c}}))
             for s in sectors
         )
         doc["relations"] = {"J": kernel, "I": products}
