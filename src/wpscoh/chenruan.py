@@ -7,9 +7,10 @@ numbers a_k(j) = frac(b_k j / ell), the coordinates it fixes, the Euler
 coefficient c_j (product of the fixed weights) with exponent d_j (their
 count), and a rational degree shift 2 * sum_k a_k(j).  The shift is
 kept as an integer in units of 1/ell, s_j = 2 * sum_k (b_k j mod ell)
-(``CrRing._shift_units``).  A ``SectorData`` record holds the rotation
-numerators over ell, and builds its per-coordinate fractions only when
-a library caller reads them; output is written from the integers.  The
+(``CrRing._shift_units``).  Output reads the rotation numerators
+(``CrRing.rotations``) and the Euler data (``CrRing.euler``) as
+integers; a ``SectorData`` record, with the per-coordinate fractions,
+is built only when a library caller asks for a sector.  The
 presentation reads its ell generators and kernel relations off the ring
 when asked for them, and forms each product relation straight from the
 structure constants and the Euler class of the target sector.
@@ -27,7 +28,8 @@ The ring therefore indexes only the nonzero sectors, as the source paper
 indexes twisted sectors by the fractions k / b_i: ``CrRing.nonzero``
 holds the multiples of ell / b_k over all k, sector 0 first, at most
 sum(b) of them.  Rotation numbers and sector records are computed on
-demand, so a ring costs its nonzero sectors, not ell.
+demand, so a ring costs its nonzero sectors, not ell.  ``CrRing.sectors``
+is a view of all ell records that exposes its ``ring``.
 
 In the shape of ``algebra``: a Z[u]-module on one basis element a_j
 per sector, in degree 2 * age(j), with annihilator the Euler class
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -63,104 +65,38 @@ from .algebra import Algebra, Element, monomial, u_power
 from .arith import as_weights
 
 
-_set = object.__setattr__
-
-
-def _init_record(record, j, rotations, ell, c, d, a=None):
-    """Fill the fields of a new ``SectorData``, past its refusal of
-    assignment."""
-    _set(record, "j", j)
-    _set(record, "rotations", rotations)
-    _set(record, "ell", ell)
-    _set(record, "c", c)
-    _set(record, "d", d)
-    _set(record, "_a", a)
-
-
+@dataclass(frozen=True)
 class SectorData:
     """Fixed-point data for one root-of-unity sector.
 
     ``a`` lists the rotation numbers per coordinate; ``fixed`` the
     indices with rotation number zero; ``c`` and ``d`` the coefficient
     and u-exponent of the sector's Euler class; ``degree_shift`` twice
-    the age.
+    the age.  ``fixed`` and ``degree_shift`` must be the ones that ``a``
+    gives.  ``CrRing.sector`` builds a record from the ring's integers
+    and hands out the same record for a sector each time; output reads
+    those integers and builds no record.
 
-    A record holds the rotation numbers as integers: ``rotations`` are
-    their numerators over the common denominator ``ell``, and
-    ``shift_units`` is the degree shift in units of 1/ell.  The
-    fractions ``a`` and ``degree_shift`` are built from them when read,
-    so output can format the integers without them.  A record is an
-    immutable value, equal to another when their j, a, c and d are;
-    ``CrRing.sector`` hands out the same record for a sector each time.
+    >>> CrRing((1, 2)).sector(1)
+    SectorData(j=1, a=(Fraction(1, 2), Fraction(0, 1)), fixed=(1,), c=2, d=1, \
+degree_shift=Fraction(1, 1))
     """
 
-    __slots__ = ("j", "rotations", "ell", "c", "d", "_a")
+    j: int
+    a: tuple[Fraction, ...]
+    fixed: tuple[int, ...]
+    c: int
+    d: int
+    degree_shift: Fraction
 
-    def __init__(self, j, a, fixed, c, d, degree_shift):
-        """A record from its fractions; ``fixed`` and ``degree_shift``
-        must be the ones that ``a`` gives."""
-        a = tuple(map(Fraction, a))
-        ell = math.lcm(*(x.denominator for x in a))
-        rotations = tuple(x.numerator * (ell // x.denominator) for x in a)
-        _init_record(self, j, rotations, ell, c, d, a)
-        if (tuple(fixed), degree_shift) != (self.fixed, self.degree_shift):
+    def __post_init__(self):
+        a = self.a
+        fixed = tuple(k for k, x in enumerate(a) if not x)
+        if (self.fixed, self.degree_shift) != (fixed, 2 * sum(a)):
             raise ValueError(
-                f"fixed {fixed!r} and degree shift {degree_shift} do not follow from a = {a}"
+                f"fixed {self.fixed!r} and degree shift {self.degree_shift} "
+                f"do not follow from a = {a}"
             )
-
-    @classmethod
-    def _from_units(cls, j, rotations, ell, c, d) -> "SectorData":
-        """A record from the rotation numerators over ell and the Euler data."""
-        record = object.__new__(cls)
-        _init_record(record, j, rotations, ell, c, d)
-        return record
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SectorData._from_units, (self.j, self.rotations, self.ell, self.c, self.d)
-
-    @property
-    def a(self) -> tuple[Fraction, ...]:
-        a = self._a
-        if a is None:
-            a = tuple(Fraction(t, self.ell) for t in self.rotations)
-            _set(self, "_a", a)
-        return a
-
-    @property
-    def fixed(self) -> tuple[int, ...]:
-        rotations = self.rotations
-        return tuple([k for k, t in enumerate(rotations) if not t]) if 0 in rotations else ()
-
-    @property
-    def shift_units(self) -> int:
-        return 2 * sum(self.rotations)
-
-    @property
-    def degree_shift(self) -> Fraction:
-        return Fraction(self.shift_units, self.ell)
-
-    def _key(self):
-        return self.j, self.a, self.c, self.d
-
-    def __eq__(self, other):
-        if isinstance(other, SectorData):
-            return self._key() == other._key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"SectorData(j={self.j!r}, a={self.a!r}, fixed={self.fixed!r}, c={self.c!r}, "
-            f"d={self.d!r}, degree_shift={self.degree_shift!r})"
-        )
 
 
 class CrElement(Element):
@@ -224,12 +160,13 @@ class CrRing(Algebra):
         return self._record(j)
 
     def _record(self, j: int) -> SectorData:
-        """The record of sector j, built from integers once per ring."""
+        """The record of sector j, built once per ring."""
         record = self._records.get(j)
         if record is None:
-            record = self._records[j] = SectorData._from_units(
-                j, self.rotations(j), self.ell, *self.euler(j)
-            )
+            nums, ell = self.rotations(j), self.ell
+            a = tuple(Fraction(t, ell) for t in nums)
+            fixed = tuple(k for k, t in enumerate(nums) if not t)
+            record = self._records[j] = SectorData(j, a, fixed, *self.euler(j), self._shift(j))
         return record
 
     def euler(self, j: int) -> tuple[int, int]:
@@ -470,21 +407,22 @@ class CrRing(Algebra):
 
 
 class _Sectors(Sequence):
-    """The ell sector records of a ring; each is built on first access.
+    """The ell sector records of ``ring``; each is built on first access.
 
     An index may be negative, and a slice gives a list of records.
+    Output reads the sectors' integers off ``ring`` and builds no record.
     """
 
-    __slots__ = ("_ring",)
+    __slots__ = ("ring",)
 
     def __init__(self, ring: CrRing):
-        self._ring = ring
+        self.ring = ring
 
     def __len__(self):
-        return self._ring.ell
+        return self.ring.ell
 
     def __getitem__(self, index):
-        ring = self._ring
+        ring = self.ring
         ell = ring.ell
         if isinstance(index, slice):
             return [ring._record(j) for j in range(*index.indices(ell))]
@@ -493,8 +431,7 @@ class _Sectors(Sequence):
         return ring._record(index % ell)
 
     def __iter__(self):
-        ring = self._ring
-        return map(ring._record, range(ring.ell))
+        return map(self.ring._record, range(self.ring.ell))
 
 
 # The relations are not frozen: a frozen dataclass's __init__ costs about

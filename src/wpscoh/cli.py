@@ -7,24 +7,25 @@ Exit codes: 0 success, 1 failed invariant checks, 2 usage or parse
 errors.
 
 Each subcommand builds one document: a dict of JSON scalars, lists and
-library values (elements, graded groups, sector records, relations,
-check results, weight vectors).  ``--format json`` prints that document
-in one walk: ``_json`` writes byte for byte what ``json.dumps(indent=2,
-sort_keys=True)`` writes for the document in JSON types.  It writes
-scalars, dicts, lists and tuples itself, a list of sector records
-through ``_sectors_json``, and every other library value through the
-writer that ``_WRITERS`` holds for its type; a value of any other type
-raises ``TypeError``.  A graded listing renders each distinct group
-once, and a sector chart each distinct rational cell.  The ell-sized
-columns of ``chenruan`` (the sector chart, the generator degrees and the
-kernel relations) are written from integers: rotation numerators over
-ell, degree shifts in units of 1/ell and the Euler data, each rational
-cell formatted by ``_ratio``, with no ``Fraction`` or element per
-sector.  Text and LaTeX are views of the document: one renderer per
-subcommand and format, named beside its handler in the parser, each
-reading only the document.  LaTeX leaves out the graded groups, the
-group listings and the torsion witness, so a LaTeX document does not
-compute them.  ``main`` is the only place that prints a result or picks
+library values (elements, graded groups, a ring's sector view,
+relations, check results, weight vectors).  ``--format json`` prints
+that document in one walk: ``_json`` writes byte for byte what
+``json.dumps(indent=2, sort_keys=True)`` writes for the document in
+JSON types.  It writes scalars, dicts, lists and tuples itself, with no
+special case for any list, and every library value through the writer
+that ``_WRITERS`` holds for its type; a value of any other type raises
+``TypeError``.  A graded listing renders each distinct group once.  The
+ell-sized columns of ``chenruan`` (the sector chart, the generator
+degrees and the kernel relations) are written from integers: the chart
+reads the rotation numerators over ell and the Euler data off the ring
+that its ``CrRing.sectors`` view exposes, and builds no ``SectorData``
+record; degree shifts are in units of 1/ell; each distinct rational
+cell is formatted once per call by ``_ratio``, with no ``Fraction`` or
+element per sector.  Text and LaTeX are views of the document: one
+renderer per subcommand and format, named beside its handler in the
+parser, each reading only the document.  LaTeX leaves out the graded
+groups, the group listings and the torsion witness, so a LaTeX document
+does not compute them.  ``main`` is the only place that prints a result or picks
 the exit code.
 
 ``main`` builds its argument parser on its first call and reuses it for
@@ -57,7 +58,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .abelian import GradedGroups, _degree_json
 from .algebra import monomial, u_power
 from .arith import WeightVector
-from .chenruan import CrElement, CrRing, KernelRelation, ProductRelation, SectorData
+from .chenruan import CrElement, CrRing, KernelRelation, ProductRelation, _Sectors
 from .expr import EvalError, ParseError, evaluate, parse
 from .kawasaki import KawasakiElement, KawasakiRing
 from .kunneth import product_groups
@@ -219,8 +220,6 @@ def _json(x, newline: str) -> str:
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        if isinstance(x[0], SectorData):
-            return _sectors_json(x, newline)
         items = [_json(item, inner) for item in x]
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
     writer = _WRITERS.get(type(x))
@@ -251,9 +250,11 @@ def _write_listing(pairs, degree_text, newline: str) -> str:
     return f"[{entry}{(',' + entry).join(texts)}{newline}]"
 
 
-def _sectors_json(records, newline: str) -> str:
-    """The JSON text of a list of sector records, written from their
-    integers; each distinct rational cell is formatted once per list."""
+def _sectors_json(sectors: _Sectors, newline: str) -> str:
+    """The JSON text of the sector records of a ring, written from its
+    integers; each distinct rational cell is formatted once per call."""
+    ring = sectors.ring
+    ell = ring.ell
     inner = newline + "  "
     field = inner + "  "
     item = field + "  "
@@ -264,11 +265,12 @@ def _sectors_json(records, newline: str) -> str:
     )
     cell = functools.lru_cache(maxsize=None)(_ratio)
     texts = []
-    for s in records:
-        ell, fixed = s.ell, s.fixed
+    for j in range(ell):
+        rotations = ring.rotations(j)
+        fixed = _fixed(rotations)
         fixed = f"[{item}{(',' + item).join(map(str, fixed))}{field}]" if fixed else "[]"
-        a = f'",{item}"'.join([cell(t, ell) for t in s.rotations])
-        texts.append(template % (a, cell(s.shift_units, ell), s.c, s.d, fixed, s.j))
+        a = f'",{item}"'.join([cell(t, ell) for t in rotations])
+        texts.append(template % (a, cell(2 * sum(rotations), ell), *ring.euler(j), fixed, j))
     return f"[{inner}{(',' + inner).join(texts)}{newline}]"
 
 
@@ -299,6 +301,7 @@ _WRITERS = {
     OrbifoldElement: _quoted,
     KernelRelation: _quoted,
     ProductRelation: _product_json,
+    _Sectors: _sectors_json,
     WeightVector: lambda w, newline: _json(w.b, newline),
     CheckResult: lambda r, newline: _json(
         {"name": r.name, "passed": r.passed, "detail": r.detail}, newline
@@ -360,9 +363,14 @@ def _locus(weights: WeightVector, fixed, tokens) -> str:
     )
 
 
+def _fixed(rotations) -> list:
+    """The coordinates whose rotation numerator is zero."""
+    return [k for k, t in enumerate(rotations) if not t] if 0 in rotations else []
+
+
 def _fixed_locus_label(ring: CrRing, j: int, tokens=_LOCUS_TEXT) -> str:
     """The fixed locus of sector j, e.g. ``C^3``, ``{0}`` or ``2C_(2)+C_(3)``."""
-    return _locus(ring.weights, ring.sectors[j].fixed, tokens)
+    return _locus(ring.weights, _fixed(ring.rotations(j)), tokens)
 
 
 def _euler_label(c: int, d: int, latex: bool = False) -> str:
@@ -372,7 +380,8 @@ def _euler_label(c: int, d: int, latex: bool = False) -> str:
 
 def _sector_rows(doc, latex: bool = False):
     """(label, per-sector cells) rows of the sector chart."""
-    weights, sectors = doc["weights"], doc["sectors"]
+    ring = doc["sectors"].ring
+    weights, ell = ring.weights, ring.ell
     if latex:
         locus = _LOCUS_LATEX
         labels = ("g", r"(\mathbb{C}^{%d})^g" % len(weights),
@@ -382,18 +391,18 @@ def _sector_rows(doc, latex: bool = False):
         locus = _LOCUS_TEXT
         labels = ("sector", "fixed locus", "2*age", "generator", "euler class")
         sector, rotation, generator = "zeta_%d", "a_(%d)", "a%d"
-    ell = doc["ell"]
     cell = functools.lru_cache(maxsize=None)(_ratio)
+    rotations = [ring.rotations(j) for j in range(ell)]
     rows = [
-        (labels[0], [sector % s.j for s in sectors]),
-        (labels[1], [_locus(weights, s.fixed, locus) for s in sectors]),
+        (labels[0], [sector % j for j in range(ell)]),
+        (labels[1], [_locus(weights, _fixed(r), locus) for r in rotations]),
     ]
     for w in sorted(set(weights.b)):
         k = weights.b.index(w)
-        rows.append((rotation % w, [cell(s.rotations[k], ell, latex) for s in sectors]))
-    rows.append((labels[2], [cell(s.shift_units, ell, latex) for s in sectors]))
-    rows.append((labels[3], [generator % s.j for s in sectors]))
-    rows.append((labels[4], [_euler_label(s.c, s.d, latex) for s in sectors]))
+        rows.append((rotation % w, [cell(r[k], ell, latex) for r in rotations]))
+    rows.append((labels[2], [cell(2 * sum(r), ell, latex) for r in rotations]))
+    rows.append((labels[3], [generator % j for j in range(ell)]))
+    rows.append((labels[4], [_euler_label(*ring.euler(j), latex) for j in range(ell)]))
     return rows
 
 
@@ -422,7 +431,7 @@ def _cmd_chenruan(args) -> dict:
 
     doc = {"weights": ring.weights, "ell": ring.ell}
     if "sectors" in sections:
-        doc["sectors"] = list(ring.sectors)
+        doc["sectors"] = ring.sectors
     if "presentation" in sections:
         pres = ring.presentation()
         doc["generators"] = [

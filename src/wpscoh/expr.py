@@ -10,8 +10,10 @@ Grammar (whitespace insignificant):
 
 Precedence is ^ over unary minus over * over + and -; * is
 left-associative and ^ does not associate (a^2^3 is a syntax error).
-Exponents are literal non-negative integers.  Symbol validity is the
-target ring's business, checked at evaluation time.
+Exponents are literal non-negative integers.  A digit is a decimal
+digit that int() reads; a literal with more digits than int() converts
+is a ParseError at its position.  Symbol validity is the target ring's
+business, checked at evaluation time.
 
 Parentheses and unary minus may nest at most ``MAX_NESTING`` deep;
 deeper input is a ParseError rather than a blown interpreter stack.
@@ -138,6 +140,17 @@ class Pow(_Inner):
 
 
 # -- lexer ---------------------------------------------------------------------
+# Digits are read with str.isdecimal, the characters int() reads;
+# str.isdigit would also take superscripts such as '²', which it rejects.
+
+
+def _integer(digits: str, position: int) -> int:
+    """The value of a run of digits, or a ParseError when it has more
+    digits than int() converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{len(digits)}-digit number is too long", position) from None
 
 
 def tokenize(text: str) -> list:
@@ -149,11 +162,11 @@ def tokenize(text: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
-            tokens.append(("int", int(text[start:i]), start))
+            tokens.append(("int", _integer(text[start:i], start), start))
             continue
         if ch == "u":
             tokens.append(("sym", "u", i))
@@ -162,10 +175,11 @@ def tokenize(text: str) -> list:
         if ch in "ga":
             start = i
             i += 1
-            if i >= len(text) or not text[i].isdigit():
+            if i >= len(text) or not text[i].isdecimal():
                 raise ParseError(f"expected digits after '{ch}'", start)
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
+            _integer(text[start + 1:i], start + 1)  # an index int() cannot read
             tokens.append(("sym", text[start:i], start))
             continue
         if ch in "+-*^()":

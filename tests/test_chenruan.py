@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 from fractions import Fraction
 
@@ -322,11 +323,11 @@ def test_sector_records_from_integers_match_their_fractions(b):
     ring = CrRing(b)
     ell = ring.ell
     for j, s in enumerate(ring.sectors):
+        rotations = ring.rotations(j)
         assert s == ring.sector(j) and hash(s) == hash(ring.sector(j))
-        assert s.rotations == ring.rotations(j) and s.ell == ell
-        assert s.shift_units == 2 * sum(ring.rotations(j)) and (s.c, s.d) == ring.euler(j)
-        assert s.a == tuple(Fraction(t, ell) for t in s.rotations)
-        assert s.degree_shift == Fraction(s.shift_units, ell) == 2 * sum(s.a)
+        assert ring._shift_units(j) == 2 * sum(rotations) and (s.c, s.d) == ring.euler(j)
+        assert s.a == tuple(Fraction(t, ell) for t in rotations)
+        assert s.degree_shift == Fraction(ring._shift_units(j), ell) == 2 * sum(s.a)
         built = SectorData(j=j, a=s.a, fixed=s.fixed, c=s.c, d=s.d, degree_shift=s.degree_shift)
         assert built == s and repr(built) == repr(s)
 
@@ -351,7 +352,18 @@ def test_iterating_sectors_reads_rotations(monkeypatch):
     """Iteration builds records through ``CrRing.rotations``, as indexing does."""
     monkeypatch.setattr(CrRing, "rotations", lambda ring, j: (j,) * len(ring.weights.b))
     ring = CrRing((2, 3))
-    assert [s.rotations for s in ring.sectors] == [(j, j) for j in range(6)]
+    assert [tuple(x * ring.ell for x in s.a) for s in ring.sectors] == [(j, j) for j in range(6)]
+
+
+def test_sector_records_are_dataclasses():
+    s = CrRing((4, 9, 14)).sector(7)
+    fields = ["j", "a", "fixed", "c", "d", "degree_shift"]
+    assert [f.name for f in dataclasses.fields(s)] == fields
+    assert dataclasses.replace(s) == s
+    assert dataclasses.asdict(s) == {name: getattr(s, name) for name in fields}
+    assert dataclasses.replace(s, j=8).j == 8
+    with pytest.raises(ValueError):
+        dataclasses.replace(s, fixed=(0,))
 
 
 def test_presentation_generator_units_give_the_generator_degrees():

@@ -90,6 +90,13 @@ def test_eval_bad_expression_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("expression, position", [("u²", 1), ("u^" + "9" * 5000, 2)])
+def test_eval_bad_literal_exits_2_with_its_position(capsys, expression, position):
+    code, out, err = run_cli(capsys, "eval", "--weights", "1,2", "--ring", "orbifold", expression)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.rstrip("\n").endswith(f"(at position {position})")
+
+
 def test_eval_foreign_symbol_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--weights", "1,2", "--ring", "kawasaki", "u")
     assert code == 2

@@ -67,6 +67,23 @@ def test_parse_errors_carry_positions():
         parse("u^a2")  # exponents must be literal naturals
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("u²", 1), ("2²", 1), ("u^²", 2), ("a1²", 2), ("u^" + "9" * 5000, 2), ("a" + "1" * 5000, 1)],
+)
+def test_bad_literals_are_parse_errors_at_their_position(text, position):
+    """A digit int() rejects, or more digits than int() converts, is a
+    ParseError where the literal stands, not int()'s ValueError."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+    assert "set_int_max_str_digits" not in str(err.value)
+
+
+def test_decimal_digits_that_int_reads_still_parse():
+    assert parse("u^\u0663") == parse("u^3")
+
+
 def test_unparse_round_trip_examples():
     for text in [
         "a2*a3 + u^2",

@@ -24,7 +24,7 @@ from wpscoh import cli
 from wpscoh.abelian import FgAbGroup, GradedGroups
 from wpscoh.algebra import Element
 from wpscoh.arith import WeightVector
-from wpscoh.chenruan import CrRing, KernelRelation, ProductRelation, SectorData
+from wpscoh.chenruan import CrRing, KernelRelation, ProductRelation, SectorData, _Sectors
 from wpscoh.cli import _Graded
 from wpscoh.verify import CheckResult
 
@@ -36,7 +36,8 @@ def _json_value(x):
         return x
     if isinstance(x, dict):
         return {key: _json_value(value) for key, value in x.items()}
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, (list, tuple, _Sectors)):
+        # a ring's sector view as the list of its records
         return [_json_value(value) for value in x]
     if isinstance(x, (Fraction, Element, KernelRelation)):
         return str(x)

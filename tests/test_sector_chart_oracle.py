@@ -359,11 +359,12 @@ def test_matches_oracle_on_drawn_weights(weights, fmt, sections, max_degree):
 
 @pytest.mark.parametrize("weights", ["4,9,14", "1,1", "2,2,3"])
 def test_chenruan_builds_nothing_per_zero_sector(monkeypatch, weights):
-    """No format or section set reads a sector through ``CrRing.sector``,
-    and none builds more elements through ``_from_parts`` than there are
-    pairs of nonzero twisted sectors."""
+    """No format or section set reads a sector through ``CrRing.sector``
+    or builds a sector record through ``CrRing._record``, and none builds
+    more elements through ``_from_parts`` than there are pairs of nonzero
+    twisted sectors."""
     calls = Counter()
-    for name in ("sector", "_from_parts"):
+    for name in ("sector", "_record", "_from_parts"):
         original = getattr(CrRing, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -376,6 +377,6 @@ def test_chenruan_builds_nothing_per_zero_sector(monkeypatch, weights):
     for argv in argvs(weights):
         calls.clear()
         cli_stdout(argv)
-        assert calls["sector"] == 0, argv
+        assert calls["sector"] == calls["_record"] == 0, argv
         assert calls["_from_parts"] <= pairs, argv
 
