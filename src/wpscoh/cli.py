@@ -134,6 +134,9 @@ def _weights_arg(text: str) -> WeightVector:
 
 def _degree_arg(text: str) -> Fraction:
     try:
+        # Fraction computes 10**exp for an exponent form: refuse long ones first
+        if sum(ch.isdecimal() for ch in text.lower().partition("e")[2]) > 3:
+            raise ValueError("exponent has more than three digits")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"bad degree {text!r}: {exc}") from None

@@ -34,11 +34,11 @@ one exhaustive pass:
 
 - The rotation-number checks (periodicity, complements, the excess, and
   the lemma's second part) walk, for each distinct weight b, the
-  residues mod ell / b: a weight-b coordinate's numerator b * j mod ell
-  depends on j mod ell / b only.
-- The ideal check walks nonzero^2 on integer structure constants.
-- Commutativity and grading share one walk over the unordered pairs of
-  nonzero generators, on the element path.
+  residues mod ell / b on the ring's integer numerators: a weight-b
+  coordinate's numerator b * j mod ell depends on j mod ell / b only.
+- ``pair_scan`` walks the ordered pairs of nonzero sectors once, on
+  integer structure constants, and decides three claims there: the
+  ideal, commutativity and grading.
 - The unit and identity-sector checks run over the basis monomials
   u^m a_j with m <= d_j; the product is bilinear, and past d_j it only
   shifts exponents, so these cover every case.
@@ -55,9 +55,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .arith import as_weights, rotation_number
+from .arith import as_weights
 from .chenruan import CrRing
 from .kawasaki import KawasakiRing, subset_lcm_table
 from .orbifold import OrbifoldRing
@@ -125,25 +124,41 @@ def star_associativity_scan(ring: CrRing, budget: int = 2_000_000, seed: int = 0
     return True, detail
 
 
-def kernel_ideal_scan(ring: CrRing):
-    """Check that the kernel relations span an ideal on the nonzero
-    sectors: for all nonzero i and j, a_i times c_j u^{d_j} a_j lies in
-    the kernel of sector i+j, that is, c_{i+j} divides coeff(i, j) c_j
-    and d_{i+j} <= power(i, j) + d_j.  Returns (ok, detail).
+def pair_scan(ring: CrRing):
+    """One walk over the ordered pairs (i, j) of nonzero sectors, on the
+    integer structure constants.  Returns ((ok, detail), commutes,
+    additive) for three claims:
+
+    - the kernel is an ideal: a_i times c_j u^{d_j} a_j lies in the
+      kernel of sector i+j, that is, c_{i+j} divides coeff(i, j) c_j and
+      d_{i+j} <= power(i, j) + d_j; the detail of a failure names the
+      first pair that fails, in the order of ``ring.nonzero``;
+    - for i <= j, a_i a_j and a_j a_i reduce to the same monomial;
+    - for i <= j, a surviving a_i a_j = coeff u^power a_t has degree
+      s_i + s_j = s_t + 2 ell power, in units of 1/ell.
     """
+    ell = ring.ell
     nz = ring.nonzero
     euler = {j: ring.euler(j) for j in nz}
+    shift = {j: ring._shift_units(j) for j in nz}
+    ideal, commutes, additive = None, True, True
     for i in nz:
         for j in nz:
             coeff, power, t = ring._raw_product(i, j)
             c, d = euler.get(t) or ring.euler(t)
             cj, dj = euler[j]
-            if coeff * cj % c or d > power + dj:
-                return False, (
+            if ideal is None and (coeff * cj % c or d > power + dj):
+                ideal = (
                     f"a{i} * {cj}u^{dj}a{j} = {coeff * cj}u^{power + dj}a{t} "
                     f"is outside the kernel {c}u^{d}a{t}"
                 )
-    return True, f"exhaustive over {len(nz) ** 2} nonzero pairs"
+            if i <= j:
+                prod = _reduce_raw(ring, coeff, power, t)
+                back = ring._raw_product(j, i)
+                commutes &= prod == _reduce_raw(ring, *back) and (not prod or back[2] == t)
+                additive &= not prod or shift[i] + shift[j] == shift[t] + 2 * ell * power
+    detail = f"exhaustive over {len(nz) ** 2} nonzero pairs"
+    return (ideal is None, ideal or detail), commutes, additive
 
 
 def zero_sector_lemma(ring: CrRing):
@@ -191,13 +206,10 @@ def run_checks(weights):
         k, p = w.b.index(b), ell // b
         nums = [cr.rotations(x)[k] for x in range(p)]
         excess_ok = excess_ok and nums == [b * x for x in range(p)]
-        for x in range(p):
-            rot = rotation_number(b, x, ell)
-            periodic = periodic and (
-                rot == Fraction(b * x, ell)
-                and rotation_number(b, x + p, ell) == rot
-                and rot + rotation_number(b, ell - x, ell) in (0, 1)
-            )
+        periodic = periodic and all(
+            cr.rotations(x + p)[k] == nums[x] and nums[x] + cr.rotations(ell - x)[k] in (0, ell)
+            for x in range(p)
+        )
         for total in range(2 * p - 1):
             x = min(total, p - 1)
             target = nums[total] if total < p else cr.rotations(total % ell)[k]
@@ -265,18 +277,9 @@ def run_checks(weights):
 
     check("sectors: rotation-number excess lies in {0,1}", excess_ok, residues)
 
-    # one walk over the unordered pairs of nonzero generators: commutative,
-    # and degrees add when the product survives (in units of 1/ell, so the
-    # walk stays in integers)
-    gens = {j: cr.generator(j) for j in nz}
-    shift = {j: cr._shift_units(j) for j in nz}
-    commutes = additive = True
-    for x, i in enumerate(nz):
-        for j in nz[x:]:
-            prod = cr.star(gens[i], gens[j])
-            commutes = commutes and prod == cr.star(gens[j], gens[i])
-            degrees = {2 * m * ell + shift[t] for t, poly in prod.parts.items() for m in poly}
-            additive = additive and degrees <= {shift[i] + shift[j]}
+    # one walk over the ordered nonzero pairs: the ideal, commutativity and
+    # grading (see pair_scan)
+    ideal, commutes, additive = pair_scan(cr)
     pairs = f"exhaustive over {len(nz) * (len(nz) + 1) // 2} nonzero pairs"
     check("twisted product: commutative on generators", commutes, pairs)
 
@@ -290,8 +293,7 @@ def run_checks(weights):
 
     # associativity: the kernel is an ideal on nonzero pairs, and on pairs
     # with a zero sector by the lemma (see the module docstring)
-    ok, detail = kernel_ideal_scan(cr)
-    check("twisted product: associative (kernel relations span an ideal)", ok, detail)
+    check("twisted product: associative (kernel relations span an ideal)", *ideal)
     ok, detail = zero_sector_lemma(cr)
     check(
         "twisted product: a sector fixing no coordinate kills every product",
@@ -302,8 +304,7 @@ def run_checks(weights):
     check("grading: additive on surviving generator products", additive, pairs)
 
     # the identity sector is the orbifold ring, on pairs of basis monomials
-    s0 = cr.sector(0)
-    ok = s0.c == w.N and s0.d == w.n + 1 and s0.degree_shift == 0
+    ok = cr.euler(0) == (w.N, w.n + 1) and cr._shift_units(0) == 0
     exponents = range(w.n + 2)
     for a in exponents:
         for b in exponents:
@@ -321,8 +322,7 @@ def run_checks(weights):
     global_sectors = [j for j in nz if not any(cr.rotations(j))]
     ok = global_sectors == list(range(0, ell, ell // w.g))
     for j in global_sectors:
-        s = cr.sector(j)
-        if s.d != w.n + 1 or s.c != w.N or s.degree_shift != 0:
+        if cr.euler(j) != (w.N, w.n + 1) or cr._shift_units(j) != 0:
             ok = False
         if cr.generator(j) * cr.generator((ell - j) % ell) != cr.one():
             ok = False

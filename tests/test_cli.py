@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -343,6 +344,25 @@ def test_max_degree_limit(capsys, argv):
     assert err == f"error: --max-degree {MAX_DEGREE_LIMIT + 1} is above the limit of {MAX_DEGREE_LIMIT}\n"
     code, _, err = run_cli(capsys, *argv, "--max-degree", f"{2 * MAX_DEGREE_LIMIT + 1}/2")
     assert code == 2 and "above the limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("orbifold", "--weights", "1,2", "--max-degree", "1e10000000"),
+        ("chenruan", "--weights", "1,2", "--max-degree", "1e-3000000"),
+    ],
+)
+def test_long_degree_exponent_is_refused_at_once(capsys, argv):
+    # Fraction would compute 10**exponent, and the messages would then
+    # format a number of millions of digits
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert f"bad degree '{argv[-1]}'" in err and "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize("sections", [(), ("--presentation",), ("--multtable",)])

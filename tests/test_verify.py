@@ -9,11 +9,59 @@ from wpscoh import verify
 from wpscoh.chenruan import CrRing
 from wpscoh.kawasaki import KawasakiRing
 from wpscoh.verify import (
-    kernel_ideal_scan,
+    pair_scan,
     run_checks,
     star_associativity_scan,
     zero_sector_lemma,
 )
+
+
+# -- oracles for pair_scan: the ideal scan and the element-path walk -------------
+
+
+def kernel_ideal_scan(ring: CrRing):
+    """Check that the kernel relations span an ideal on the nonzero
+    sectors: for all nonzero i and j, a_i times c_j u^{d_j} a_j lies in
+    the kernel of sector i+j, that is, c_{i+j} divides coeff(i, j) c_j
+    and d_{i+j} <= power(i, j) + d_j.  Returns (ok, detail).
+    """
+    nz = ring.nonzero
+    euler = {j: ring.euler(j) for j in nz}
+    for i in nz:
+        for j in nz:
+            coeff, power, t = ring._raw_product(i, j)
+            c, d = euler.get(t) or ring.euler(t)
+            cj, dj = euler[j]
+            if coeff * cj % c or d > power + dj:
+                return False, (
+                    f"a{i} * {cj}u^{dj}a{j} = {coeff * cj}u^{power + dj}a{t} "
+                    f"is outside the kernel {c}u^{d}a{t}"
+                )
+    return True, f"exhaustive over {len(nz) ** 2} nonzero pairs"
+
+
+def element_pair_walk(cr: CrRing):
+    """One walk over the unordered pairs of nonzero generators, on the
+    element path: commutative, and degrees add when the product survives
+    (in units of 1/ell, so the walk stays in integers).  Returns
+    (commutes, additive).
+    """
+    ell = cr.ell
+    nz = cr.nonzero
+    gens = {j: cr.generator(j) for j in nz}
+    shift = {j: cr._shift_units(j) for j in nz}
+    commutes = additive = True
+    for x, i in enumerate(nz):
+        for j in nz[x:]:
+            prod = cr.star(gens[i], gens[j])
+            commutes = commutes and prod == cr.star(gens[j], gens[i])
+            degrees = {2 * m * ell + shift[t] for t, poly in prod.parts.items() for m in poly}
+            additive = additive and degrees <= {shift[i] + shift[j]}
+    return commutes, additive
+
+
+def _pair_oracles(ring):
+    return kernel_ideal_scan(ring), *element_pair_walk(ring)
 
 
 @pytest.mark.parametrize(
@@ -59,6 +107,7 @@ def test_sampled_scan_does_not_tabulate_all_pairs():
 
 
 IDEAL = "twisted product: associative (kernel relations span an ideal)"
+COMMUTES = "twisted product: commutative on generators"
 LEMMA = "twisted product: a sector fixing no coordinate kills every product"
 
 
@@ -87,7 +136,11 @@ def test_residue_walks_read_the_rotation_numbers(monkeypatch):
     results = {r.name: r for r in run_checks((2, 3, 5))}
     assert not results["sectors: rotation-number excess lies in {0,1}"].passed
     monkeypatch.undo()
-    monkeypatch.setattr(verify, "rotation_number", lambda b, m, ell: verify.Fraction(m, ell))
+
+    def unreduced(ring, j):
+        return tuple(bk * j for bk in ring.weights.b)
+
+    monkeypatch.setattr(CrRing, "rotations", unreduced)
     results = {r.name: r for r in run_checks((2, 3, 5))}
     assert not results["rotation numbers: periodic and complement-integral"].passed
 
@@ -106,8 +159,46 @@ def test_check_catches_a_dropped_excess(monkeypatch):
     monkeypatch.setattr(CrRing, "_raw_product", drop_one_excess)
     results = {r.name: r for r in run_checks((1, 2, 2, 3, 3, 3))}
     assert not results[IDEAL].passed
-    ok, detail = kernel_ideal_scan(CrRing((4, 9, 14)))
+    ring = CrRing((4, 9, 14))
+    ok, detail = kernel_ideal_scan(ring)
     assert not ok and "outside the kernel" in detail
+    assert pair_scan(ring) == _pair_oracles(ring)
+
+
+def test_check_catches_an_asymmetric_product(monkeypatch):
+    original = CrRing._raw_product
+
+    def asymmetric(ring, i, j):
+        coeff, power, target = original(ring, i, j)
+        return (2 * coeff if i < j else coeff), power, target
+
+    monkeypatch.setattr(CrRing, "_raw_product", asymmetric)
+    for weights in [(1, 2, 2, 3, 3, 3), (4, 9, 14)]:
+        results = {r.name: r for r in run_checks(weights)}
+        assert not results[COMMUTES].passed, weights
+        ring = CrRing(weights)
+        assert pair_scan(ring) == _pair_oracles(ring)
+
+
+def test_check_forms_no_sector_record_and_no_product_per_pair(monkeypatch):
+    weights = (4, 9, 14)
+    nonzero = len(CrRing(weights).nonzero)
+    calls = {"_record": 0, "star": 0}
+
+    def counting(name):
+        original = getattr(CrRing, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(CrRing, name, counted)
+
+    counting("_record")
+    counting("star")
+    assert all(r.passed for r in run_checks(weights))
+    assert calls["_record"] == 0
+    assert calls["star"] < nonzero * (nonzero + 1) // 2
 
 
 def test_coarse_associativity_reads_the_structure_constants(monkeypatch):
@@ -178,14 +269,18 @@ def test_check_fails_every_euler_class_mutant():
     assert killed == 280
 
 
-def _ideal_argument_implies_the_scan(weights):
+def _ideal_argument_implies_the_scan(weights, oracles_under_mutants=True):
     """Under each mutant and without one: where the lemma's Euler-class
-    part and the ideal check pass, the triple scan passes too."""
+    part and the ideal check pass, the triple scan passes too.  The
+    integer pair walk agrees with its oracles without a mutant, and under
+    each one when oracles_under_mutants."""
     for case in [None, *_mutants(weights)]:
         with pytest.MonkeyPatch.context() as mp:
             if case:
                 _mutate(mp, *case)
             ring = CrRing(weights)
+            if oracles_under_mutants or case is None:
+                assert pair_scan(ring) == _pair_oracles(ring), (weights, case)
             if zero_sector_lemma(ring)[0] and kernel_ideal_scan(ring)[0]:
                 assert star_associativity_scan(ring)[0], (weights, case)
             else:
@@ -207,4 +302,6 @@ def test_ideal_argument_agrees_with_the_scan_on_the_corpus():
 @settings(max_examples=20, deadline=None)
 def test_ideal_argument_agrees_with_the_scan(weights):
     assume(len(CrRing(weights).nonzero) ** 3 <= 2_000_000)
-    _ideal_argument_implies_the_scan(weights)
+    # each pair walk costs |nonzero|^2 per mutant, and there are about
+    # 4 |nonzero| mutants: tens of seconds at 126 nonzero sectors
+    _ideal_argument_implies_the_scan(weights, oracles_under_mutants=False)
