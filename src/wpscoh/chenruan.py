@@ -110,6 +110,20 @@ class CrElement(Element):
     __pow__ = Element.__pow__  # its own name, for perfbench/tracing.py
 
 
+def nonzero_sectors(weights) -> tuple[int, ...]:
+    """The nonzero sectors of the weights, sector 0 first: the multiples
+    of ell / b_k over all k, since sector j fixes coordinate k exactly
+    when ell / b_k divides j.  There are at most min(ell, sum(b)).
+
+    >>> nonzero_sectors((1, 2, 2, 3, 3, 3))
+    (0, 2, 3, 4)
+    """
+    w = as_weights(weights)
+    ell = w.ell
+    steps = {ell // bk for bk in w.b}
+    return tuple(sorted({j for step in steps for j in range(0, ell, step)}))
+
+
 class CrRing(Algebra):
     """Sector-graded cohomology ring with the twisted product.
 
@@ -130,9 +144,7 @@ class CrRing(Algebra):
         self.weights = w
         ell = w.ell
         self.ell = ell
-        # sector j fixes coordinate k exactly when ell / b_k divides j
-        steps = {ell // bk for bk in w.b}
-        self.nonzero = tuple(sorted({j for step in steps for j in range(0, ell, step)}))
+        self.nonzero = nonzero_sectors(w)
         # Euler class (c_j, d_j) of each nonzero sector; zero sectors have (1, 0)
         self._euler = {}
         for j in self.nonzero:
@@ -236,15 +248,17 @@ class CrRing(Algebra):
                 )
         return coeff, power, (i + j) % ell
 
+    def _reduce(self, coeff: int, power: int, sector: int) -> int:
+        """The coefficient of coeff u^power a_sector in normal form:
+        reduced mod c once power reaches d, for the Euler class c u^d of
+        the sector; 0 when the monomial vanishes."""
+        c, d = self.euler(sector)
+        return coeff % c if power >= d else coeff
+
     def star_generators(self, i: int, j: int) -> "CrElement":
         """Product of the sector-i and sector-j generators, reduced."""
         self._check_basis(i)
         self._check_basis(j)
-        return self._generator_product(i, j)
-
-    def _generator_product(self, i: int, j: int) -> "CrElement":
-        """a_i * a_j in normal form, straight from the structure constants
-        and the Euler class of the target sector."""
         coeff, power, target = self._raw_product(i, j)
         return self._normal({target: {power: coeff}})
 
@@ -266,9 +280,7 @@ class CrRing(Algebra):
 
     def mult_table(self) -> dict:
         """Products of all nonzero twisted generators, keyed by (i, j), i <= j."""
-        idx = self.twisted_generator_indices()
-        product = self._generator_product
-        return {(i, j): product(i, j) for x, i in enumerate(idx) for j in idx[x:]}
+        return {(rel.i, rel.j): rel.product for rel in self.presentation().product_relations}
 
     def presentation(self) -> "CrPresentation":
         """Generators with degrees, kernel relations in sector order, and
@@ -277,14 +289,18 @@ class CrRing(Algebra):
         Product relations where both sides already vanish are omitted.
         Those are exactly the pairs with a zero generator: by the lemma in
         the module docstring their products reduce to 0.  So the product
-        relations run over the nonzero twisted sectors only.  The ell
-        generators and kernel relations are read off the ring when asked
-        for.
+        relations run over the nonzero twisted sectors only, each the
+        reduced monomial of its structure constants.  The ell generators
+        and kernel relations are read off the ring when asked for.
         """
-        products = tuple(
-            ProductRelation(i, j, rhs) for (i, j), rhs in self.mult_table().items()
-        )
-        return CrPresentation(self, products)
+        idx = self.twisted_generator_indices()
+        products = []
+        for x, i in enumerate(idx):
+            for j in idx[x:]:
+                coeff, power, target = self._raw_product(i, j)
+                coeff = self._reduce(coeff, power, target)
+                products.append(ProductRelation(i, j, coeff, power, target, self))
+        return CrPresentation(self, tuple(products))
 
     # -- grading ------------------------------------------------------------------
 
@@ -307,6 +323,8 @@ class CrRing(Algebra):
         group is built per change point and shared by every degree up
         to the next, so the cost grows with the nonzero sectors, not
         with max_degree; a degree becomes a Fraction only when emitted.
+        Equal groups of different classes are one object, so a listing
+        that renders each group object once renders each value once.
 
         >>> CrRing((1, 2)).graded_dimensions(3)
         [(Fraction(0, 1), FgAbGroup(1, ())), (Fraction(1, 1), FgAbGroup(1, ())), \
@@ -332,6 +350,7 @@ class CrRing(Algebra):
             if c > 1:
                 end[1].append(c)
         swept = []
+        shared = {}  # one object per distinct group, across the classes
         for points in classes.values():
             free, orders = 0, []
             changes = sorted(points)
@@ -343,6 +362,7 @@ class CrRing(Algebra):
                 orders += new
                 if free or orders:
                     group = FgAbGroup(free, orders)
+                    group = shared.setdefault(group, group)
                     swept += [(y, group) for y in range(x, min(stop, last + 1), period)]
         swept.sort(key=itemgetter(0))
         return [(Fraction(x, ell), group) for x, group in swept]
@@ -461,14 +481,30 @@ class KernelRelation:
 
 @dataclass(slots=True, unsafe_hash=True)
 class ProductRelation:
-    """One generator product, already in normal form."""
+    """One generator product a_i a_j = c u^e a_t in normal form, as the
+    integers (coefficient, exponent, target); coefficient 0 when the
+    product vanishes."""
 
     i: int
     j: int
-    product: "CrElement"
+    coefficient: int
+    exponent: int
+    target: int
+    ring: CrRing
+
+    @property
+    def product(self) -> "CrElement":
+        """The product as an element of the ring."""
+        return self.ring.star_generators(self.i, self.j)
+
+    def render(self, latex: bool = False) -> str:
+        """The product, e.g. ``4u^2a4`` or ``0``, as its element prints."""
+        if not self.coefficient:
+            return "0"
+        return monomial(self.coefficient, self.ring._variable(self.target, self.exponent, latex))
 
     def __str__(self):
-        return f"a{self.i}*a{self.j} = {self.product}"
+        return f"a{self.i}*a{self.j} = {self.render()}"
 
 
 @dataclass(frozen=True)

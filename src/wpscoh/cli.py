@@ -21,9 +21,11 @@ reads the rotation numerators over ell and the Euler data off the ring
 that its ``CrRing.sectors`` view exposes, and builds no ``SectorData``
 record; degree shifts are in units of 1/ell; each distinct rational
 cell is formatted once per call by ``_ratio``, with no ``Fraction`` or
-element per sector.  Text and LaTeX are views of the document: one
-renderer per subcommand and format, named beside its handler in the
-parser, each reading only the document.  LaTeX leaves out the graded
+element per sector.  The product relations of the presentation and the
+multiplication table are one tuple from ``CrRing.presentation``, and
+each relation prints its own integer monomial.  Text and LaTeX are
+views of the document: one renderer per subcommand and format, named
+beside its handler in the parser, each reading only the document.  LaTeX leaves out the graded
 groups, the group listings and the torsion witness, so a LaTeX document
 does not compute them.  ``main`` is the only place that prints a result or picks
 the exit code.
@@ -58,7 +60,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .abelian import GradedGroups, _degree_json
 from .algebra import monomial, u_power
 from .arith import WeightVector
-from .chenruan import CrElement, CrRing, KernelRelation, ProductRelation, _Sectors
+from .chenruan import CrElement, CrRing, KernelRelation, ProductRelation, _Sectors, nonzero_sectors
 from .expr import EvalError, ParseError, evaluate, parse
 from .kawasaki import KawasakiElement, KawasakiRing
 from .kunneth import product_groups
@@ -97,20 +99,27 @@ def _require_dense(ell: int, what: str) -> None:
         )
 
 
-def _sector_ring(weights: WeightVector) -> CrRing:
-    """The sector ring, refused before it indexes more than
-    ``DENSE_SECTOR_LIMIT`` nonzero sectors."""
+def _require_index(weights: WeightVector) -> None:
+    """Refuse weights whose sector ring could index more than
+    ``DENSE_SECTOR_LIMIT`` nonzero sectors, before anything indexes them."""
     bound = min(weights.ell, sum(weights.b))
     if bound > DENSE_SECTOR_LIMIT:
         raise ValueError(
             f"the sector ring indexes up to min(ell, sum of the weights) = {bound} "
             f"nonzero sectors, more than the limit of {DENSE_SECTOR_LIMIT}"
         )
+
+
+def _sector_ring(weights: WeightVector) -> CrRing:
+    """The sector ring, refused before it indexes too many nonzero sectors."""
+    _require_index(weights)
     return CrRing(weights)
 
 
-def _require_products(ring: CrRing, what: str) -> None:
-    twisted = len(ring.twisted_generator_indices())
+def _require_products(weights: WeightVector, what: str) -> None:
+    """Refuse weights with more than ``PRODUCT_SECTOR_LIMIT`` nonzero
+    twisted sectors; their index must already be within bounds."""
+    twisted = len(nonzero_sectors(weights)) - 1
     if twisted > PRODUCT_SECTOR_LIMIT:
         raise ValueError(
             f"{what} products of {twisted} nonzero twisted sectors, "
@@ -139,7 +148,13 @@ def _degree_arg(text: str) -> Fraction:
             raise ValueError("exponent has more than three digits")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"bad degree {text!r}: {exc}") from None
+        shown, reason = repr(text), exc
+        if len(text) > 60:
+            # quote a long input by its head and length: int()'s message for
+            # a long digit run repeats the input and adds its own advice
+            shown = f"{text[:20]!r}... of {len(text)} characters"
+            reason = str(exc).partition(":")[0]
+        raise argparse.ArgumentTypeError(f"bad degree {shown}: {reason}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("max degree must be >= 0")
     return value
@@ -243,12 +258,12 @@ def _write_listing(pairs, degree_text, newline: str) -> str:
     entry = newline + "  "
     field = entry + "  "
     head, middle, tail = "{" + field + '"degree": ', "," + field + '"group": ', entry + "}"
-    rendered = {}
+    rendered = {}  # by id: the pairs hold each group for the whole call
     texts = []
     for degree, group in pairs:
-        text = rendered.get(group)
+        text = rendered.get(id(group))
         if text is None:
-            text = rendered[group] = _group_json(group, field)
+            text = rendered[id(group)] = _group_json(group, field)
         texts.append(f"{head}{degree_text(degree)}{middle}{text}{tail}")
     return f"[{entry}{(',' + entry).join(texts)}{newline}]"
 
@@ -289,7 +304,7 @@ def _group_json(group, newline: str) -> str:
 
 def _product_json(rel: ProductRelation, newline: str) -> str:
     inner = newline + "  "
-    product = _quote(str(rel.product))
+    product = _quote(rel.render())
     return f'{{{inner}"i": {rel.i},{inner}"j": {rel.j},{inner}"product": {product}{newline}}}'
 
 
@@ -332,11 +347,11 @@ def _listing(groups) -> list:
     each distinct group is formatted once.
     """
     lines = [f"groups by degree (up to {groups.max_degree}):"]
-    names = {}
+    names = {}  # by id: the listing holds each group for the whole call
     for degree, group in groups.items():
-        name = names.get(group)
+        name = names.get(id(group))
         if name is None:
-            name = names[group] = str(group)
+            name = names[id(group)] = str(group)
         lines.append(f"  degree {degree}: {name}")
     return lines
 
@@ -427,16 +442,19 @@ def _cmd_chenruan(args) -> dict:
     sections = sections or {"sectors", "presentation"}
     if sections & {"sectors", "presentation"}:
         _require_dense(args.weights.ell, "the sector chart or presentation")
-    ring = _sector_ring(args.weights)
-    if sections & {"presentation", "multtable"}:
-        _require_products(ring, "the presentation and multiplication table list")
+    _require_index(args.weights)
+    products = sections & {"presentation", "multtable"}
+    if products:
+        _require_products(args.weights, "the presentation and multiplication table list")
+    ring = CrRing(args.weights)
     max_degree = _max_degree(args, ring.weights.n)
+    # the product relations are the multiplication table
+    pres = ring.presentation() if products else None
 
     doc = {"weights": ring.weights, "ell": ring.ell}
     if "sectors" in sections:
         doc["sectors"] = ring.sectors
     if "presentation" in sections:
-        pres = ring.presentation()
         doc["generators"] = [
             {"name": name, "degree": _ratio(units, ring.ell)}
             for name, units in pres.generator_units
@@ -445,10 +463,7 @@ def _cmd_chenruan(args) -> dict:
         if args.format != "latex":
             doc["graded"] = _Graded(max_degree, ring.graded_dimensions(max_degree))
     if "multtable" in sections:
-        # the presentation's product relations are the multiplication table
-        doc["mult_table"] = doc["relations"]["I"] if "relations" in doc else [
-            ProductRelation(i, j, prod) for (i, j), prod in sorted(ring.mult_table().items())
-        ]
+        doc["mult_table"] = pres.product_relations
     return doc
 
 
@@ -477,7 +492,7 @@ def _chenruan_text(doc) -> str:
 
 def _products_latex(relations, op: str) -> str:
     return "\n".join(
-        r"\alpha_{%d}%s\alpha_{%d} = %s \\" % (rel.i, op, rel.j, rel.product.render(latex=True))
+        r"\alpha_{%d}%s\alpha_{%d} = %s \\" % (rel.i, op, rel.j, rel.render(latex=True))
         for rel in relations
     )
 
@@ -658,7 +673,7 @@ def _eval_latex(doc) -> str:
 
 def _cmd_check(args) -> dict:
     _require_dense(args.weights.ell, "check")
-    _require_products(CrRing(args.weights), "check forms")
+    _require_products(args.weights, "check forms")
     results = run_checks(args.weights)
     return {"weights": args.weights, "ok": all(r.passed for r in results), "results": results}
 

@@ -69,14 +69,6 @@ class CheckResult:
     detail: str = field(default="")
 
 
-def _reduce_raw(ring: CrRing, coeff: int, power: int, sector: int):
-    """Reduced monomial (coeff, power) in a sector, or None when zero."""
-    c, d = ring.euler(sector)
-    if power >= d:
-        coeff %= c
-    return None if coeff == 0 else (coeff, power)
-
-
 def star_associativity_scan(ring: CrRing, budget: int = 2_000_000, seed: int = 0):
     """Check (a_i * a_j) * a_k == a_i * (a_j * a_k) over triples of
     nonzero sectors.
@@ -89,20 +81,24 @@ def star_associativity_scan(ring: CrRing, budget: int = 2_000_000, seed: int = 0
     ell = ring.ell
     nz = ring.nonzero
 
-    # (raw, reduced) structure constants of a pair.  The cache holds all
+    # (coeff, power, reduced coeff) of a pair.  The cache holds all
     # len(nonzero)^2 pairs when the scan is exhaustive; when it samples,
     # that square may far exceed memory, so the cache is bounded.
     @functools.lru_cache(maxsize=min(len(nz) ** 2, 1 << 16))
     def constants(i, j):
-        raw = ring._raw_product(i, j)
-        return raw, _reduce_raw(ring, *raw)
+        coeff, power, t = ring._raw_product(i, j)
+        return coeff, power, ring._reduce(coeff, power, t)
 
-    def one_side(first, second_pair, final_sector):
-        if first is None:
+    def one_side(first_pair, second_pair, final_sector):
+        """The first pair's reduced product times the second pair's
+        structure constants, reduced in final_sector: (coeff, power), or
+        None when zero."""
+        _, e1, c1 = constants(*first_pair)
+        if not c1:
             return None
-        c1, e1 = first
-        c2, e2, _ = constants(*second_pair)[0]
-        return _reduce_raw(ring, c1 * c2, e1 + e2, final_sector)
+        c2, e2, _ = constants(*second_pair)
+        coeff = ring._reduce(c1 * c2, e1 + e2, final_sector)
+        return (coeff, e1 + e2) if coeff else None
 
     total = len(nz) ** 3
     if total <= budget:
@@ -117,8 +113,8 @@ def star_associativity_scan(ring: CrRing, budget: int = 2_000_000, seed: int = 0
 
     for i, j, k in triples:
         w = (i + j + k) % ell
-        lhs = one_side(constants(i, j)[1], ((i + j) % ell, k), w)
-        rhs = one_side(constants(j, k)[1], (i, (j + k) % ell), w)
+        lhs = one_side((i, j), ((i + j) % ell, k), w)
+        rhs = one_side((j, k), (i, (j + k) % ell), w)
         if lhs != rhs:
             return False, f"triple ({i},{j},{k}): {lhs} != {rhs}"
     return True, detail
@@ -153,9 +149,9 @@ def pair_scan(ring: CrRing):
                     f"is outside the kernel {c}u^{d}a{t}"
                 )
             if i <= j:
-                prod = _reduce_raw(ring, coeff, power, t)
+                prod = ring._reduce(coeff, power, t)
                 back = ring._raw_product(j, i)
-                commutes &= prod == _reduce_raw(ring, *back) and (not prod or back[2] == t)
+                commutes &= prod == ring._reduce(*back) and (not prod or back[1:] == (power, t))
                 additive &= not prod or shift[i] + shift[j] == shift[t] + 2 * ell * power
     detail = f"exhaustive over {len(nz) ** 2} nonzero pairs"
     return (ideal is None, ideal or detail), commutes, additive

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -389,3 +390,32 @@ def test_mult_table_matches_element_products():
         ring = CrRing(b)
         for (i, j), product in ring.mult_table().items():
             assert product == ring.generator(i) * ring.generator(j)
+
+
+# every weight vector with n <= 4 and entries <= 6, as in tests/test_acceptance.py
+CORPUS = [ms for size in range(1, 6) for ms in combinations_with_replacement(range(1, 7), size)]
+
+
+def test_product_relations_print_as_their_elements():
+    """A product relation's integers print as its element prints, that
+    element is the product of the two generators, and the relations make
+    up the multiplication table."""
+    for b in CORPUS:
+        ring = CrRing(b)
+        relations = ring.presentation().product_relations
+        for rel in relations:
+            product = rel.product
+            assert rel.render(False) == product.render(False), (b, rel)
+            assert rel.render(True) == product.render(True), (b, rel)
+            assert product == ring.generator(rel.i) * ring.generator(rel.j), (b, rel)
+        assert ring.mult_table() == {(rel.i, rel.j): rel.product for rel in relations}, b
+
+
+def test_product_relation_holds_the_reduced_monomial():
+    relations = {(r.i, r.j): r for r in CrRing(B).presentation().product_relations}
+    # a2 a2 = 4u^2 a4; a2 a3 lands in sector 5, which fixes nothing, so it is 0
+    square, vanishing = relations[2, 2], relations[2, 3]
+    assert (square.coefficient, square.exponent, square.target) == (4, 2, 4)
+    assert square.render(latex=True) == r"4u^{2}\alpha_{4}"
+    assert vanishing.coefficient == 0 and vanishing.render() == "0"
+    assert str(vanishing) == "a2*a3 = 0"

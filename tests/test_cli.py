@@ -365,6 +365,19 @@ def test_long_degree_exponent_is_refused_at_once(capsys, argv):
     assert f"bad degree '{argv[-1]}'" in err and "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize(
+    "text", ["1" * 5000, "0." + "0" * 4400 + "1"], ids=["5000-digit", "4400-zero-decimal"]
+)
+def test_long_degree_is_quoted_short(capsys, text):
+    # int() would repeat the whole input and add its set_int_max_str_digits advice
+    with pytest.raises(SystemExit) as exc:
+        main(["orbifold", "--weights", "1,2", "--max-degree", text])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
+    assert f"bad degree {text[:20]!r}... of {len(text)} characters" in err
+
+
 @pytest.mark.parametrize("sections", [(), ("--presentation",), ("--multtable",)])
 def test_listed_products_are_bounded(capsys, sections):
     # ell = 99991 passes the dense limit, but all 99990 twisted sectors are nonzero
@@ -388,6 +401,31 @@ def test_sector_index_is_bounded(capsys, monkeypatch, argv):
         "error: the sector ring indexes up to min(ell, sum of the weights) = 1000000000 "
         "nonzero sectors, more than the limit of 100000\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("chenruan", "--multtable", "--weights", "1,99991"),
+         "the presentation and multiplication table list products of 99990"),
+        (("check", "--weights", "1,9973"), "check forms products of 9972"),
+    ],
+)
+def test_product_limit_is_checked_before_the_ring_is_built(capsys, monkeypatch, argv, message):
+    def refuse(weights):
+        raise AssertionError("the sector ring was built before the product limit was checked")
+
+    monkeypatch.setattr("wpscoh.cli.CrRing", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} nonzero twisted sectors, more than the limit of 1000\n"
+
+
+def test_check_builds_one_sector_ring(capsys, monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, CrRing, "__init__", calls)
+    assert run_cli(capsys, "check", "--weights", "4,9,14")[0] == 0
+    assert calls["__init__"] == 1
 
 
 def test_sector_index_limit_boundary(capsys, monkeypatch):
@@ -646,10 +684,10 @@ def test_presentation_and_mult_table_are_built_at_most_once(capsys, monkeypatch,
     _count_calls(monkeypatch, CrRing, "mult_table", calls)
     code, _, _ = run_cli(capsys, "chenruan", "--weights", "1,2,2,3,3,3", "--format", fmt, *sections)
     assert code == 0
-    assert calls["presentation"] <= 1 and calls["mult_table"] <= 1
+    # one path: the presentation's product relations are the multiplication table
     shown = set(sections) or {"--sectors", "--presentation"}
-    assert calls["presentation"] == ("--presentation" in shown)
-    assert calls["mult_table"] == bool(shown & {"--presentation", "--multtable"})
+    assert calls["presentation"] == bool(shown & {"--presentation", "--multtable"})
+    assert calls["mult_table"] == 0
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
