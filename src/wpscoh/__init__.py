@@ -6,12 +6,12 @@ computations.
 """
 
 from .abelian import FgAbGroup, GradedGroups
-from .arith import WeightVector, gcd_all, lcm_all, residue, rotation_number
+from .arith import WeightVector, gcd_all, lcm_all, rotation_number
 from .chenruan import CrElement, CrRing, SectorData
 from .expr import EvalError, ParseError, evaluate, parse, unparse
 from .kawasaki import KawasakiElement, KawasakiRing, subset_lcm_table
 from .kunneth import ProductGroups, odd_torsion_witness, product_groups
-from .orbifold import OrbifoldElement, OrbifoldRing, iso_check, make
+from .orbifold import OrbifoldElement, OrbifoldRing, iso_check
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"
@@ -35,11 +35,9 @@ __all__ = [
     "gcd_all",
     "iso_check",
     "lcm_all",
-    "make",
     "odd_torsion_witness",
     "parse",
     "product_groups",
-    "residue",
     "rotation_number",
     "run_checks",
     "subset_lcm_table",

@@ -94,20 +94,6 @@ def valuation(x: int, q: int) -> int:
     return e
 
 
-def residue(m: int, ell: int) -> int:
-    """Smallest non-negative integer congruent to ``m`` modulo ``ell``.
-
-    Works for negative ``m``:
-
-    >>> residue(7, 6), residue(-1, 6), residue(0, 17)
-    (1, 5, 0)
-    """
-    _require_positive(ell, "modulus")
-    if not isinstance(m, int):
-        raise ValueError(f"residue expects an integer, got {m!r}")
-    return m % ell
-
-
 def rotation_number(weight: int, m: int, ell: int) -> Fraction:
     """Fractional part of weight*m/ell, as an exact fraction in [0, 1).
 
@@ -120,7 +106,10 @@ def rotation_number(weight: int, m: int, ell: int) -> Fraction:
     Fraction(0, 1)
     """
     _require_positive(weight, "weight")
-    return Fraction(residue(weight * m, ell), ell)
+    _require_positive(ell, "modulus")
+    if not isinstance(m, int):
+        raise ValueError(f"rotation_number expects an integer, got {m!r}")
+    return Fraction(weight * m % ell, ell)
 
 
 class WeightVector:

@@ -74,7 +74,7 @@ class SectorData:
     and u-exponent of the sector's Euler class; ``degree_shift`` twice
     the age.  ``fixed`` and ``degree_shift`` must be the ones that ``a``
     gives.  ``CrRing.sector`` builds a record from the ring's integers
-    and hands out the same record for a sector each time; output reads
+    on each call, and records compare and hash by value; output reads
     those integers and builds no record.
 
     >>> CrRing((1, 2)).sector(1)
@@ -136,7 +136,7 @@ class CrRing(Algebra):
     0
     """
 
-    __slots__ = ("ell", "nonzero", "_euler", "_records")
+    __slots__ = ("ell", "nonzero", "_euler")
     _element_class = CrElement
 
     def __init__(self, weights):
@@ -150,7 +150,6 @@ class CrRing(Algebra):
         for j in self.nonzero:
             fixed = [bk for bk in w.b if bk * j % ell == 0]
             self._euler[j] = (math.prod(fixed), len(fixed))
-        self._records = {}
 
     @property
     def sectors(self) -> "_Sectors":
@@ -172,24 +171,21 @@ class CrRing(Algebra):
         return self._record(j)
 
     def _record(self, j: int) -> SectorData:
-        """The record of sector j, built once per ring."""
-        record = self._records.get(j)
-        if record is None:
-            nums, ell = self.rotations(j), self.ell
-            a = tuple(Fraction(t, ell) for t in nums)
-            fixed = tuple(k for k, t in enumerate(nums) if not t)
-            record = self._records[j] = SectorData(j, a, fixed, *self.euler(j), self._shift(j))
-        return record
+        """The record of sector j, built from the ring's integers."""
+        nums, ell = self.rotations(j), self.ell
+        a = tuple(Fraction(t, ell) for t in nums)
+        fixed = tuple(k for k, t in enumerate(nums) if not t)
+        return SectorData(j, a, fixed, *self._annihilator(j), self._shift(j))
 
     def euler(self, j: int) -> tuple[int, int]:
         """(c_j, d_j) of the sector-j Euler class c_j u^{d_j}."""
         self._check_basis(j)
-        return self._euler.get(j, (1, 0))
+        return self._annihilator(j)
 
-    def is_zero_generator(self, j: int) -> bool:
-        """True when the sector generator is already zero (empty fixed locus)."""
-        self._check_basis(j)
-        return j not in self._euler
+    def _annihilator(self, j: int) -> tuple[int, int]:
+        """``euler`` without the range check, for sectors already in
+        range; every reader of the Euler class goes through it."""
+        return self._euler.get(j, (1, 0))
 
     def twisted_generator_indices(self) -> tuple[int, ...]:
         """Indices of the nonzero twisted-sector generators."""
@@ -208,8 +204,6 @@ class CrRing(Algebra):
     def generator(self, j: int) -> CrElement:
         """The sector-j placeholder generator, in normal form (may be zero)."""
         return self.element({j: {0: 1}})
-
-    _annihilator = euler
 
     def _shift(self, j):
         return Fraction(self._shift_units(j), self.ell)
@@ -252,7 +246,7 @@ class CrRing(Algebra):
         """The coefficient of coeff u^power a_sector in normal form:
         reduced mod c once power reaches d, for the Euler class c u^d of
         the sector; 0 when the monomial vanishes."""
-        c, d = self.euler(sector)
+        c, d = self._annihilator(sector)
         return coeff % c if power >= d else coeff
 
     def star_generators(self, i: int, j: int) -> "CrElement":
@@ -304,10 +298,6 @@ class CrRing(Algebra):
 
     # -- grading ------------------------------------------------------------------
 
-    def degree(self, x: "CrElement"):
-        self._check_element(x)
-        return x.degree()
-
     def graded_dimensions(self, max_degree) -> list:
         """Nonzero (degree, group) pairs up to max_degree, sorted.
 
@@ -342,7 +332,7 @@ class CrRing(Algebra):
         classes: dict = {}
         for j in self.nonzero:
             s = self._shift_units(j)
-            c, d = self._euler[j]
+            c, d = self._annihilator(j)
             points = classes.setdefault(s % period, {})
             points.setdefault(s, [0, []])[0] += 1
             end = points.setdefault(s + period * d, [0, []])
@@ -427,7 +417,7 @@ class CrRing(Algebra):
 
 
 class _Sectors(Sequence):
-    """The ell sector records of ``ring``; each is built on first access.
+    """The ell sector records of ``ring``; each is built on access.
 
     An index may be negative, and a slice gives a list of records.
     Output reads the sectors' integers off ``ring`` and builds no record.
@@ -535,4 +525,4 @@ class CrPresentation:
     def kernel_relations(self) -> tuple[KernelRelation, ...]:
         """c_j u^{d_j} a_j = 0 for every sector j, in sector order."""
         ring = self.ring
-        return tuple([KernelRelation(j, *ring.euler(j), ring) for j in range(ring.ell)])
+        return tuple([KernelRelation(j, *ring._annihilator(j), ring) for j in range(ring.ell)])

@@ -133,12 +133,29 @@ def _weights_arg(text: str) -> WeightVector:
         raise argparse.ArgumentTypeError(
             f"{len(parts)} weights, more than the limit of {MAX_WEIGHTS}"
         )
+    values = []
     try:
-        return WeightVector(int(part) for part in parts)
+        for part in parts:
+            values.append(int(part))
+        return WeightVector(values)
     except ValueError as exc:
+        if len(values) == len(parts):  # every entry parsed, and one is below 1
+            part = next(p for p, x in zip(parts, values) if x < 1)
+        reason = f"bad weight {_shown(part, exc)}" if len(part) > 60 else exc
         raise argparse.ArgumentTypeError(
-            f"weights must be comma-separated positive integers: {exc}"
+            f"weights must be comma-separated positive integers: {reason}"
         ) from None
+
+
+def _shown(text: str, exc: Exception) -> str:
+    """``'text': reason`` for an error message.  A text over 60
+    characters is quoted by its first 20 characters and its length
+    instead, and the reason is cut where it would repeat the text (at a
+    colon or ``, got``) or give int()'s advice on a long digit run."""
+    if len(text) <= 60:
+        return f"{text!r}: {exc}"
+    reason = str(exc).partition(":")[0].partition(", got")[0].partition(" for integer")[0]
+    return f"{text[:20]!r}... of {len(text)} characters: {reason}"
 
 
 def _degree_arg(text: str) -> Fraction:
@@ -148,13 +165,7 @@ def _degree_arg(text: str) -> Fraction:
             raise ValueError("exponent has more than three digits")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        shown, reason = repr(text), exc
-        if len(text) > 60:
-            # quote a long input by its head and length: int()'s message for
-            # a long digit run repeats the input and adds its own advice
-            shown = f"{text[:20]!r}... of {len(text)} characters"
-            reason = str(exc).partition(":")[0]
-        raise argparse.ArgumentTypeError(f"bad degree {shown}: {reason}") from None
+        raise argparse.ArgumentTypeError(f"bad degree {_shown(text, exc)}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("max degree must be >= 0")
     return value
@@ -386,9 +397,9 @@ def _fixed(rotations) -> list:
     return [k for k, t in enumerate(rotations) if not t] if 0 in rotations else []
 
 
-def _fixed_locus_label(ring: CrRing, j: int, tokens=_LOCUS_TEXT) -> str:
+def _fixed_locus_label(ring: CrRing, j: int) -> str:
     """The fixed locus of sector j, e.g. ``C^3``, ``{0}`` or ``2C_(2)+C_(3)``."""
-    return _locus(ring.weights, _fixed(ring.rotations(j)), tokens)
+    return _locus(ring.weights, _fixed(ring.rotations(j)), _LOCUS_TEXT)
 
 
 def _euler_label(c: int, d: int, latex: bool = False) -> str:

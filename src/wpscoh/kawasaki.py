@@ -126,11 +126,6 @@ class KawasakiRing(Algebra):
         """The generator of degree 2k (index 0 is the unit)."""
         return self.element({k: 1})
 
-    def gamma_product(self, k: int, m: int) -> KawasakiElement:
-        """Product of two generators: (ell_k ell_m / ell_{k+m}) times the
-        degree-2(k+m) generator, or zero above the top degree."""
-        return self.gamma(k) * self.gamma(m)
-
     # -- graded structure ----------------------------------------------------
 
     def groups(self, max_degree: int) -> GradedGroups:

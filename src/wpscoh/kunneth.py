@@ -30,15 +30,13 @@ import math
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GradedGroups
-from .orbifold import OrbifoldRing
+from .arith import as_weights
 
 
 @dataclass(frozen=True)
 class ProductGroups:
     """Degree-wise groups of a product of two orbifold rings."""
 
-    factor_a: OrbifoldRing
-    factor_b: OrbifoldRing
     groups: GradedGroups
 
     def odd_torsion_witness(self):
@@ -64,9 +62,9 @@ def product_groups(a, b, max_degree: int) -> ProductGroups:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    ra, rb = OrbifoldRing(a), OrbifoldRing(b)
-    na, nb = ra.weights.n, rb.weights.n
-    g, lcm = math.gcd(ra.N, rb.N), math.lcm(ra.N, rb.N)
+    wa, wb = as_weights(a), as_weights(b)
+    na, nb = wa.n, wb.n
+    g, lcm = math.gcd(wa.N, wb.N), math.lcm(wa.N, wb.N)
     table = {}
     for d in range(max_degree + 1):
         # pairs (2p, 2q) with p + q = h; the factors are torsion for p > na, q > nb
@@ -79,9 +77,9 @@ def product_groups(a, b, max_degree: int) -> ProductGroups:
             t = _count(max(na + 1, h - nb), h)
         v = _count(na + 1, h - nb - 1)
         m = min(s, t)
-        orders = [g] * (v + m) + [ra.N] * (t - m) + [rb.N] * (s - m) + [lcm] * m
+        orders = [g] * (v + m) + [wa.N] * (t - m) + [wb.N] * (s - m) + [lcm] * m
         table[d] = FgAbGroup(r, orders)
-    return ProductGroups(ra, rb, GradedGroups(max_degree, table))
+    return ProductGroups(GradedGroups(max_degree, table))
 
 
 def odd_torsion_witness(a, b, max_degree: int):

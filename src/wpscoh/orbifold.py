@@ -127,11 +127,6 @@ class OrbifoldRing(Algebra):
         return f"Z[u]/<{self.N}u^{self.top}>"
 
 
-def make(weights) -> OrbifoldRing:
-    """Construct the orbifold cohomology ring for a weight vector."""
-    return OrbifoldRing(weights)
-
-
 def iso_check(a, b) -> bool:
     """Whether two weight vectors give isomorphic graded orbifold rings.
 

@@ -43,9 +43,9 @@ one exhaustive pass:
   u^m a_j with m <= d_j; the product is bilinear, and past d_j it only
   shifts exponents, so these cover every case.
 
-``star_associativity_scan``, the direct scan over triples of nonzero
-sectors, is kept as the test oracle for the ideal check; ``run_checks``
-does not call it.
+``star_associativity_scan``, the direct scan over all triples of
+nonzero sectors, is kept as the exhaustive test oracle for the ideal
+check; it does not sample, and ``run_checks`` does not call it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass, field
 
 from .arith import as_weights
@@ -69,23 +68,19 @@ class CheckResult:
     detail: str = field(default="")
 
 
-def star_associativity_scan(ring: CrRing, budget: int = 2_000_000, seed: int = 0):
-    """Check (a_i * a_j) * a_k == a_i * (a_j * a_k) over triples of
-    nonzero sectors.
+def star_associativity_scan(ring: CrRing):
+    """Check (a_i * a_j) * a_k == a_i * (a_j * a_k) over all triples of
+    nonzero sectors, on integer structure constants.
 
-    Runs on integer structure-constant tables; exhaustive when
-    len(nonzero)^3 fits the budget, uniformly sampled otherwise.  The
-    triples with a zero sector are the lemma check's (see run_checks).
-    Returns (ok, detail).
+    The triples with a zero sector are the lemma check's (see
+    run_checks).  Returns (ok, detail).
     """
     ell = ring.ell
     nz = ring.nonzero
 
-    # (coeff, power, reduced coeff) of a pair.  The cache holds all
-    # len(nonzero)^2 pairs when the scan is exhaustive; when it samples,
-    # that square may far exceed memory, so the cache is bounded.
-    @functools.lru_cache(maxsize=min(len(nz) ** 2, 1 << 16))
+    @functools.cache
     def constants(i, j):
+        """(coeff, power, reduced coeff) of a pair."""
         coeff, power, t = ring._raw_product(i, j)
         return coeff, power, ring._reduce(coeff, power, t)
 
@@ -100,24 +95,13 @@ def star_associativity_scan(ring: CrRing, budget: int = 2_000_000, seed: int = 0
         coeff = ring._reduce(c1 * c2, e1 + e2, final_sector)
         return (coeff, e1 + e2) if coeff else None
 
-    total = len(nz) ** 3
-    if total <= budget:
-        triples = itertools.product(nz, repeat=3)
-        detail = f"exhaustive over {total} triples"
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.choice(nz), rng.choice(nz), rng.choice(nz)) for _ in range(budget)
-        )
-        detail = f"sampled {budget} of {total} triples"
-
-    for i, j, k in triples:
+    for i, j, k in itertools.product(nz, repeat=3):
         w = (i + j + k) % ell
         lhs = one_side((i, j), ((i + j) % ell, k), w)
         rhs = one_side((j, k), (i, (j + k) % ell), w)
         if lhs != rhs:
             return False, f"triple ({i},{j},{k}): {lhs} != {rhs}"
-    return True, detail
+    return True, f"exhaustive over {len(nz) ** 3} triples"
 
 
 def pair_scan(ring: CrRing):

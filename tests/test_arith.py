@@ -9,7 +9,6 @@ from wpscoh.arith import (
     as_weights,
     gcd_all,
     lcm_all,
-    residue,
     rotation_number,
 )
 
@@ -37,19 +36,15 @@ def test_gcd_lcm_reject_bad_input(bad):
         lcm_all(bad)
 
 
-def test_residue_examples():
-    assert residue(7, 6) == 1
-    assert residue(-1, 6) == 5
-    assert residue(0, 17) == 0
-    with pytest.raises(ValueError):
-        residue(3, 0)
-
-
 def test_rotation_number_examples():
     assert rotation_number(2, 1, 6) == Fraction(1, 3)
     assert rotation_number(3, 2, 6) == 0
     assert rotation_number(1, 0, 11) == 0
     assert rotation_number(5, 3, 6) == Fraction((5 * 3) % 6, 6)
+    assert rotation_number(1, -1, 6) == Fraction(5, 6)
+    for bad in ((1, 3, 0), (1, 3, -6), (1, 1.0, 6)):
+        with pytest.raises(ValueError):
+            rotation_number(*bad)
 
 
 def test_rotation_number_zero_exactly_when_divisible():

@@ -118,7 +118,7 @@ def test_degree_examples():
     assert (ring.generator(2) + ring.u()).degree() is None
     with pytest.raises(ValueError):
         ring.zero().degree()
-    assert ring.degree(ring.generator(4)) == F(8, 3)
+    assert ring.generator(4).degree() == F(8, 3)
 
 
 def test_mult_table_golden():
@@ -333,9 +333,8 @@ def test_sector_records_from_integers_match_their_fractions(b):
         assert built == s and repr(built) == repr(s)
 
 
-def test_sector_records_are_shared_immutable_values():
+def test_sector_records_are_immutable_values():
     ring = CrRing((4, 9, 14))
-    assert all(s is ring.sector(j) for j, s in enumerate(ring.sectors))
     s = ring.sector(7)
     before = (repr(s), hash(s))
     for field in ("j", "rotations", "ell", "c", "d", "a", "fixed", "degree_shift", "extra"):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -161,10 +162,13 @@ def test_latex_sector_table(capsys):
 
 
 def test_module_entry_point():
+    # the child needs the package's directory on its path, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "wpscoh", "eval", "--weights", "1,2", "--ring", "chenruan", "a1^2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "u"
@@ -376,6 +380,22 @@ def test_long_degree_is_quoted_short(capsys, text):
     assert exc.value.code == 2 and len(err.splitlines()) == 1
     assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
     assert f"bad degree {text[:20]!r}... of {len(text)} characters" in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["9" * 5000, "x" * 100, "-" + "9" * 4000],
+    ids=["5000-digit", "100-letter", "4000-digit-negative"],
+)
+def test_long_weight_is_quoted_short(capsys, entry):
+    # int() would add its set_int_max_str_digits advice, or repeat the entry
+    with pytest.raises(SystemExit) as exc:
+        main(["kawasaki", "--weights", f"1,{entry}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.splitlines()) == 1
+    assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
+    assert "weights must be comma-separated positive integers: " in err
+    assert f"bad weight {entry[:20]!r}... of {len(entry)} characters" in err
 
 
 @pytest.mark.parametrize("sections", [(), ("--presentation",), ("--multtable",)])

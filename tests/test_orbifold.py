@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from wpscoh.abelian import Z, cyclic
 from wpscoh.kawasaki import KawasakiRing
-from wpscoh.orbifold import OrbifoldRing, iso_check, make
+from wpscoh.orbifold import OrbifoldRing, iso_check
 
 weight_vectors = st.lists(st.integers(1, 12), min_size=1, max_size=5)
 
@@ -18,17 +18,17 @@ def elements(ring, size=3):
     )
 
 
-def test_make_examples():
-    r = make((1, 2))
+def test_ring_examples():
+    r = OrbifoldRing((1, 2))
     assert (r.N, r.top) == (2, 2)
     assert str(r) == "Z[u]/<2u^2>"
-    assert str(make((2, 2))) == "Z[u]/<4u^2>"
-    smooth = make((1, 1, 1))
+    assert str(OrbifoldRing((2, 2))) == "Z[u]/<4u^2>"
+    smooth = OrbifoldRing((1, 1, 1))
     assert (smooth.N, smooth.top) == (1, 3)
 
 
 def test_normal_form_examples():
-    r = make((1, 2))
+    r = OrbifoldRing((1, 2))
     assert r.element({2: 4}).is_zero  # 4u^2 = 2 * (2u^2)
     assert r.element({2: 3}) == r.u(2)  # 3u^2 = u^2 mod 2u^2
     assert r.element({1: 7}) == r.u(1, 7)  # below the top exponent: untouched
@@ -37,7 +37,7 @@ def test_normal_form_examples():
 
 
 def test_multiply_examples():
-    r = make((1, 2))
+    r = OrbifoldRing((1, 2))
     assert r.u() * r.u() == r.u(2)
     assert (r.u(1, 2) * r.u()).is_zero
     x = r.element({0: 3, 1: 1})
@@ -46,22 +46,22 @@ def test_multiply_examples():
 
 def test_multiply_rejects_other_ring():
     with pytest.raises(ValueError):
-        make((1, 2)).multiply(make((1, 2)).u(), make((1, 3)).u())
+        OrbifoldRing((1, 2)).multiply(OrbifoldRing((1, 2)).u(), OrbifoldRing((1, 3)).u())
 
 
 def test_group_at_degree_examples():
-    r = make((1, 2))
+    r = OrbifoldRing((1, 2))
     assert r.group_at_degree(2) == Z
     assert r.group_at_degree(4) == cyclic(2)
     assert r.group_at_degree(7).is_zero
     assert r.group_at_degree(0) == Z
-    smooth = make((1, 1))
+    smooth = OrbifoldRing((1, 1))
     assert smooth.group_at_degree(4).is_zero  # Z/1
 
 
 def test_normal_forms_are_a_transversal_above_top():
     # at exponents >= n+1 the distinct normal forms are exactly 0..N-1
-    r = make((1, 2, 2))
+    r = OrbifoldRing((1, 2, 2))
     seen = {r.element({r.top: k}) for k in range(3 * r.N)}
     assert len(seen) == r.N
     for k in range(1, 3 * r.N):
@@ -76,7 +76,7 @@ def test_iso_check_examples():
 
 
 def test_element_strings():
-    r = make((1, 2))
+    r = OrbifoldRing((1, 2))
     assert str(r.zero()) == "0"
     assert str(r.one()) == "1"
     assert str(r.u(2, 1) + r.u(1, 2)) == "u^2 + 2u"
@@ -85,7 +85,7 @@ def test_element_strings():
 
 
 def test_degree():
-    r = make((1, 2))
+    r = OrbifoldRing((1, 2))
     assert r.u(2).degree() == 4
     assert (r.one() + r.u()).degree() is None
     with pytest.raises(ValueError):
