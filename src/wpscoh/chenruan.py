@@ -22,14 +22,25 @@ per sector, the single kernel relation c_j u^{d_j} = 0 reduces every
 element to a normal form, namely coefficients in [0, c_j) at u-exponents
 at or above d_j.
 
-Sector j fixes coordinate k exactly when ell / b_k divides j.  A sector
-that fixes nothing has c_j = 1 and d_j = 0, so its generator is zero.
-The ring therefore indexes only the nonzero sectors, as the source paper
-indexes twisted sectors by the fractions k / b_i: ``CrRing.nonzero``
-holds the multiples of ell / b_k over all k, sector 0 first, at most
-sum(b) of them.  Rotation numbers and sector records are computed on
-demand, so a ring costs its nonzero sectors, not ell.  ``CrRing.sectors``
-is a view of all ell records that exposes its ``ring``.
+Every sector fact depends, per distinct weight b, only on the residue
+j mod p, where p = ell / b: a weight-b coordinate's rotation numerator
+is b * (j mod p), so sector j fixes it exactly when p divides j.
+``CrRing.classes`` is the table of these weight classes, one row
+(b, p, coordinates carrying b) per distinct weight, in increasing
+order.  The ring's Euler data is built by marking, for each row, the
+multiples of p with b^m and m for the row's m coordinates; the marked
+sectors are the nonzero ones (``nonzero_sectors`` marks the same way).
+The structure constants read the residues too: at sectors i and j a
+row's coordinates have excess 1 exactly when i mod p + j mod p >= p.
+
+A sector that fixes nothing has c_j = 1 and d_j = 0, so its generator
+is zero.  The ring therefore indexes only the nonzero sectors, as the
+source paper indexes twisted sectors by the fractions k / b_i:
+``CrRing.nonzero`` holds the multiples of p over all rows, sector 0
+first, at most sum(b) of them.  Rotation numbers and sector records are
+computed on demand, so a ring costs its nonzero sectors, not ell.
+``CrRing.sectors`` is a view of all ell records that exposes its
+``ring``.
 
 In the shape of ``algebra``: a Z[u]-module on one basis element a_j
 per sector, in degree 2 * age(j), with annihilator the Euler class
@@ -45,11 +56,10 @@ group changes only at those 2 * |nonzero| change points, so
 and builds one group per change point.
 
 The lemma that lets products, presentations and scans skip the zero
-sectors: if sector i fixes no coordinate, every coordinate k fixed by
-i+j has b_k i != 0 mod ell, so its rotation numbers at i and j sum to
-exactly 1 (excess 1).  The raw product a_i * a_j then carries
-c_{i+j} u^{d_{i+j}}, which reduces to 0.  ``verify`` checks the lemma by
-name.
+sectors: if sector i fixes no coordinate, every row whose p divides i+j
+has i mod p = p - (j mod p) != 0, so its coordinates have excess 1.  The
+raw product a_i * a_j then carries c_{i+j} u^{d_{i+j}}, which reduces to
+0.  ``verify`` checks the lemma by name.
 """
 
 from __future__ import annotations
@@ -62,7 +72,7 @@ from operator import itemgetter
 
 from .abelian import FgAbGroup
 from .algebra import Algebra, Element, monomial, u_power
-from .arith import as_weights
+from .arith import WeightVector, as_weights
 
 
 @dataclass(frozen=True)
@@ -110,18 +120,38 @@ class CrElement(Element):
     __pow__ = Element.__pow__  # its own name, for perfbench/tracing.py
 
 
+def _sector_table(w: WeightVector) -> tuple:
+    """The weight-class table of w and the Euler data of its nonzero sectors.
+
+    The table has one row (b, p, coordinates carrying b) per distinct
+    weight b, in increasing order, with p = ell / b.  The Euler data maps
+    each nonzero sector j to (c_j, d_j).  It is built by marking: each row
+    marks the multiples of p, the sectors that fix its m coordinates, with
+    b^m and m.  Sectors that no row marks are zero.
+    """
+    classes = tuple([
+        (b, w.ell // b, tuple([k for k, x in enumerate(w.b) if x == b]))
+        for b in sorted(set(w.b))
+    ])
+    euler: dict = {}
+    for b, p, coords in classes:
+        m = len(coords)
+        factor = b**m
+        for j in range(0, w.ell, p):
+            c, d = euler.get(j, (1, 0))
+            euler[j] = (c * factor, d + m)
+    return classes, euler
+
+
 def nonzero_sectors(weights) -> tuple[int, ...]:
     """The nonzero sectors of the weights, sector 0 first: the multiples
-    of ell / b_k over all k, since sector j fixes coordinate k exactly
-    when ell / b_k divides j.  There are at most min(ell, sum(b)).
+    of p = ell / b over the distinct weights b, marked as for
+    ``CrRing.nonzero``.  There are at most min(ell, sum(b)).
 
     >>> nonzero_sectors((1, 2, 2, 3, 3, 3))
     (0, 2, 3, 4)
     """
-    w = as_weights(weights)
-    ell = w.ell
-    steps = {ell // bk for bk in w.b}
-    return tuple(sorted({j for step in steps for j in range(0, ell, step)}))
+    return tuple(sorted(_sector_table(as_weights(weights))[1]))
 
 
 class CrRing(Algebra):
@@ -136,20 +166,15 @@ class CrRing(Algebra):
     0
     """
 
-    __slots__ = ("ell", "nonzero", "_euler")
+    __slots__ = ("ell", "classes", "nonzero", "_euler")
     _element_class = CrElement
 
     def __init__(self, weights):
-        w = as_weights(weights)
-        self.weights = w
-        ell = w.ell
-        self.ell = ell
-        self.nonzero = nonzero_sectors(w)
+        self.weights = w = as_weights(weights)
+        self.ell = w.ell
         # Euler class (c_j, d_j) of each nonzero sector; zero sectors have (1, 0)
-        self._euler = {}
-        for j in self.nonzero:
-            fixed = [bk for bk in w.b if bk * j % ell == 0]
-            self._euler[j] = (math.prod(fixed), len(fixed))
+        self.classes, self._euler = _sector_table(w)
+        self.nonzero = tuple(sorted(self._euler))
 
     @property
     def sectors(self) -> "_Sectors":
@@ -223,24 +248,18 @@ class CrRing(Algebra):
         """Unreduced structure constants of a generator product:
         (coefficient, u-power, target sector).
 
-        Per coordinate, the rotation numbers of sectors i, j and i+j sum
-        to an integer excess of 0 or 1; the coordinates with excess 1
-        contribute their weight to the coefficient and one power of u.
+        Per row (b, p, coordinates) of ``classes``, the coordinates have
+        excess 1 exactly when i mod p + j mod p >= p, and 0 otherwise;
+        the m coordinates of a row with excess 1 contribute b^m to the
+        coefficient and u^m.
         """
-        ell = self.ell
-        coeff = 1
-        power = 0
-        for k, bk in enumerate(self.weights.b):
-            t = bk * i % ell + bk * j % ell - bk * (i + j) % ell
-            if t == ell:
-                coeff *= bk
-                power += 1
-            elif t != 0:
-                raise ArithmeticError(
-                    f"rotation-number excess {Fraction(t, ell)} outside {{0,1}} "
-                    f"at sectors ({i},{j}), coordinate {k}: arithmetic bug"
-                )
-        return coeff, power, (i + j) % ell
+        coeff, power = 1, 0
+        for b, p, coords in self.classes:
+            if i % p + j % p >= p:
+                m = len(coords)
+                coeff *= b**m
+                power += m
+        return coeff, power, (i + j) % self.ell
 
     def _reduce(self, coeff: int, power: int, sector: int) -> int:
         """The coefficient of coeff u^power a_sector in normal form:

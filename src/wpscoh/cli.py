@@ -49,10 +49,10 @@ pairs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -91,11 +91,21 @@ MAX_DEGREE_LIMIT = 4000
 PRODUCT_SECTOR_LIMIT = 1000
 
 
-def _require_dense(ell: int, what: str) -> None:
-    if ell > DENSE_SECTOR_LIMIT:
+def _require_dense(weights: WeightVector, what: str) -> None:
+    """Refuse weights with more than ``DENSE_SECTOR_LIMIT`` sectors.  The
+    message names the sparse queries whose own limits the weights pass:
+    eval needs the index bound, chenruan --multtable the product limit
+    too."""
+    if weights.ell > DENSE_SECTOR_LIMIT:
+        sparse = ""
+        with contextlib.suppress(ValueError):
+            _require_index(weights)
+            sparse = "; eval still works"
+            _require_products(weights, "")
+            sparse = "; chenruan --multtable and eval still work"
         raise ValueError(
-            f"{what} walks all ell = {ell} sectors, more than the limit of "
-            f"{DENSE_SECTOR_LIMIT}; chenruan --multtable and eval still work"
+            f"{what} walks all ell = {weights.ell} sectors, more than the limit of "
+            f"{DENSE_SECTOR_LIMIT}{sparse}"
         )
 
 
@@ -296,10 +306,10 @@ def _sectors_json(sectors: _Sectors, newline: str) -> str:
     texts = []
     for j in range(ell):
         rotations = ring.rotations(j)
-        fixed = _fixed(rotations)
+        fixed = [k for k, t in enumerate(rotations) if not t] if 0 in rotations else []
         fixed = f"[{item}{(',' + item).join(map(str, fixed))}{field}]" if fixed else "[]"
         a = f'",{item}"'.join([cell(t, ell) for t in rotations])
-        texts.append(template % (a, cell(2 * sum(rotations), ell), *ring.euler(j), fixed, j))
+        texts.append(template % (a, cell(2 * sum(rotations), ell), *ring._annihilator(j), fixed, j))
     return f"[{inner}{(',' + inner).join(texts)}{newline}]"
 
 
@@ -380,26 +390,22 @@ _LOCUS_TEXT = ("C^%d", "{0}", "C_(%d)")
 _LOCUS_LATEX = (r"\mathbb{C}^{%d}", r"\{0\}", r"\mathbb{C}_{(%d)}")
 
 
-def _locus(weights: WeightVector, fixed, tokens) -> str:
+def _locus(ring: CrRing, j: int, tokens) -> str:
+    """The fixed locus of sector j: the d_j coordinates it fixes are those
+    of the weight classes whose p divides j."""
     whole, origin, line = tokens
-    if len(fixed) == len(weights):
-        return whole % len(weights)
-    if not fixed:
+    d = ring._annihilator(j)[1]
+    if d == len(ring.weights):
+        return whole % d
+    if not d:
         return origin
-    counts = Counter(weights.b[k] for k in fixed)
-    return "+".join(
-        (str(m) if m > 1 else "") + line % w for w, m in sorted(counts.items())
-    )
-
-
-def _fixed(rotations) -> list:
-    """The coordinates whose rotation numerator is zero."""
-    return [k for k, t in enumerate(rotations) if not t] if 0 in rotations else []
+    fixed = [(b, len(coords)) for b, p, coords in ring.classes if not j % p]
+    return "+".join((str(m) if m > 1 else "") + line % b for b, m in fixed)
 
 
 def _fixed_locus_label(ring: CrRing, j: int) -> str:
     """The fixed locus of sector j, e.g. ``C^3``, ``{0}`` or ``2C_(2)+C_(3)``."""
-    return _locus(ring.weights, _fixed(ring.rotations(j)), _LOCUS_TEXT)
+    return _locus(ring, j, _LOCUS_TEXT)
 
 
 def _euler_label(c: int, d: int, latex: bool = False) -> str:
@@ -410,10 +416,10 @@ def _euler_label(c: int, d: int, latex: bool = False) -> str:
 def _sector_rows(doc, latex: bool = False):
     """(label, per-sector cells) rows of the sector chart."""
     ring = doc["sectors"].ring
-    weights, ell = ring.weights, ring.ell
+    ell = ring.ell
     if latex:
         locus = _LOCUS_LATEX
-        labels = ("g", r"(\mathbb{C}^{%d})^g" % len(weights),
+        labels = ("g", r"(\mathbb{C}^{%d})^g" % len(ring.weights),
                   r"2\cdot\mathrm{age}(g)", r"\text{generator}", "e(g)")
         sector, rotation, generator = r"\zeta_{%d}", r"a_{\mathbb{C}_{(%d)}}(g)", r"\alpha_{%d}"
     else:
@@ -424,14 +430,13 @@ def _sector_rows(doc, latex: bool = False):
     rotations = [ring.rotations(j) for j in range(ell)]
     rows = [
         (labels[0], [sector % j for j in range(ell)]),
-        (labels[1], [_locus(weights, _fixed(r), locus) for r in rotations]),
+        (labels[1], [_locus(ring, j, locus) for j in range(ell)]),
     ]
-    for w in sorted(set(weights.b)):
-        k = weights.b.index(w)
-        rows.append((rotation % w, [cell(r[k], ell, latex) for r in rotations]))
+    for b, p, (k, *_) in ring.classes:
+        rows.append((rotation % b, [cell(r[k], ell, latex) for r in rotations]))
     rows.append((labels[2], [cell(2 * sum(r), ell, latex) for r in rotations]))
     rows.append((labels[3], [generator % j for j in range(ell)]))
-    rows.append((labels[4], [_euler_label(*ring.euler(j), latex) for j in range(ell)]))
+    rows.append((labels[4], [_euler_label(*ring._annihilator(j), latex) for j in range(ell)]))
     return rows
 
 
@@ -452,7 +457,7 @@ def _cmd_chenruan(args) -> dict:
     sections = {s for s in ("sectors", "presentation", "multtable") if getattr(args, s)}
     sections = sections or {"sectors", "presentation"}
     if sections & {"sectors", "presentation"}:
-        _require_dense(args.weights.ell, "the sector chart or presentation")
+        _require_dense(args.weights, "the sector chart or presentation")
     _require_index(args.weights)
     products = sections & {"presentation", "multtable"}
     if products:
@@ -683,7 +688,7 @@ def _eval_latex(doc) -> str:
 
 
 def _cmd_check(args) -> dict:
-    _require_dense(args.weights.ell, "check")
+    _require_dense(args.weights, "check")
     _require_products(args.weights, "check forms")
     results = run_checks(args.weights)
     return {"weights": args.weights, "ok": all(r.passed for r in results), "results": results}

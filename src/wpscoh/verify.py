@@ -24,8 +24,8 @@ associative:
   tests this on all pairs of nonzero sectors (those that fix some
   coordinate, see ``chenruan``).  For a zero sector j (c_j = 1,
   d_j = 0) the lemma check covers it in two parts: every nonzero sector
-  t has c_t dividing the product of the weights t fixes and d_t at most
-  their count; and a coordinate fixed by i+j but not by j sits at
+  t has c_t equal to the product of the weights t fixes and d_t equal
+  to their count; and a coordinate fixed by i+j but not by j sits at
   residues p - x and x with x != 0, mod p = ell / b, so its excess is 1
   and its weight divides coeff(i, j).
 
@@ -33,15 +33,28 @@ So the quotient associates on all ell^3 triples.  Every sector check is
 one exhaustive pass:
 
 - The rotation-number checks (periodicity, complements, the excess, and
-  the lemma's second part) walk, for each distinct weight b, the
-  residues mod ell / b on the ring's integer numerators: a weight-b
-  coordinate's numerator b * j mod ell depends on j mod ell / b only.
+  the lemma's second part) walk, for each row (b, p, coordinates) of the
+  ring's weight-class table, the residues mod p = ell / b on the ring's
+  integer numerators: a weight-b coordinate's numerator b * j mod ell
+  depends on j mod p only.
 - ``pair_scan`` walks the ordered pairs of nonzero sectors once, on
   integer structure constants, and decides three claims there: the
   ideal, commutativity and grading.
 - The unit and identity-sector checks run over the basis monomials
   u^m a_j with m <= d_j; the product is bilinear, and past d_j it only
   shifts exponents, so these cover every case.
+
+The ring builds its Euler data and its structure constants from the
+weight-class table, on residues mod p; its rotation numerators and
+degree shifts stay per coordinate.  Two checks tie the forms together
+on every nonzero sector: the lemma's first part compares the Euler data
+with the weights that the rotation numerators fix, and the grading claim
+of ``pair_scan`` compares the power of u in each structure constant
+with the per-coordinate degree shifts.  ``pair_scan`` stays in
+``run_checks`` for that reason: it is the only check that calls
+``CrRing._raw_product`` on every pair of nonzero sectors.  A comparison
+with the per-coordinate excess on residue pairs would call it on one
+sector pair per residue pair, a sample of the sector pairs.
 
 ``star_associativity_scan``, the direct scan over all triples of
 nonzero sectors, is kept as the exhaustive test oracle for the ideal
@@ -142,16 +155,16 @@ def pair_scan(ring: CrRing):
 
 
 def zero_sector_lemma(ring: CrRing):
-    """The first part of the lemma: every nonzero sector t has c_t
-    dividing the product of the weights t fixes, and d_t at most their
-    count.  (The second part, excess 1 on the coordinates fixed by i+j
-    but not by j, is a residue walk in run_checks.)  Returns (ok, detail).
+    """The first part of the lemma: every nonzero sector t has c_t equal
+    to the product of the weights t fixes, and d_t equal to their count,
+    the fixed weights read off the rotation numerators.  (The second
+    part, excess 1 on the coordinates fixed by i+j but not by j, is a
+    residue walk in run_checks.)  Returns (ok, detail).
     """
-    b = ring.weights.b
     for t in ring.nonzero:
-        fixed = [bk for bk, r in zip(b, ring.rotations(t)) if r == 0]
+        fixed = [bk for bk, r in zip(ring.weights.b, ring.rotations(t)) if r == 0]
         c, d = ring.euler(t)
-        if math.prod(fixed) % c or d > len(fixed):
+        if (c, d) != (math.prod(fixed), len(fixed)):
             return False, f"sector {t} fixes {fixed}, but its Euler class is {c}u^{d}"
     return True, f"exhaustive over {len(ring.nonzero)} nonzero sectors"
 
@@ -175,15 +188,15 @@ def run_checks(weights):
         all(bk % w.g == 0 and w.ell % bk == 0 for bk in w.b),
     )
 
-    # One walk per distinct weight b over the residues x mod p = ell / b.
-    # The weight-b numerator b * j mod ell depends on j mod p only and is
-    # b * x on the residues (checked here).  So the excess at sectors
-    # (i, j) is a function of x + y for their residues x, y, and one
-    # residue pair per sum covers all ell^2 pairs; the sum p is the pair
-    # (x, p - x), x != 0, of the lemma's second part.
+    # One walk per weight class (b, p, coordinates) over the residues
+    # x mod p = ell / b, on the numerators of the class's first
+    # coordinate.  The weight-b numerator b * j mod ell depends on j mod p
+    # only and is b * x on the residues (checked here).  So the excess at
+    # sectors (i, j) is a function of x + y for their residues x, y, and
+    # one residue pair per sum covers all ell^2 pairs; the sum p is the
+    # pair (x, p - x), x != 0, of the lemma's second part.
     periodic = excess_ok = complements = True
-    for b in sorted(set(w.b)):
-        k, p = w.b.index(b), ell // b
+    for b, p, (k, *_) in cr.classes:
         nums = [cr.rotations(x)[k] for x in range(p)]
         excess_ok = excess_ok and nums == [b * x for x in range(p)]
         periodic = periodic and all(
@@ -240,7 +253,7 @@ def run_checks(weights):
     check("comparison map: multiplicative on generator pairs", ok)
 
     # k * u^top vanishes exactly when N divides k
-    ks = sorted(set(range(1, min(w.N, 60) + 1)) | {w.N - 1, w.N, w.N + 1, 2 * w.N})
+    ks = sorted({*range(1, min(w.N, 60) + 1), w.N - 1, w.N, w.N + 1, 2 * w.N})
     ok = all(
         orb.u(orb.top, k).is_zero == (k % w.N == 0) for k in ks if k >= 1
     )

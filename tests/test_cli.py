@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -193,6 +194,37 @@ def test_dense_listings_refuse_huge_ell(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "limit of 100000" in err
+
+
+@pytest.mark.parametrize(
+    "weights, hint",
+    [
+        # 135 nonzero sectors: both sparse queries pass their limits
+        (HUGE, "; chenruan --multtable and eval still work"),
+        # sum 199,980 is above the index bound, so neither is named
+        ("99991,99989", ""),
+        # 2,004 nonzero twisted sectors are above the product limit
+        ("997,1009", "; eval still works"),
+    ],
+)
+def test_dense_refusal_names_the_queries_that_still_work(capsys, weights, hint):
+    ell = math.lcm(*map(int, weights.split(",")))
+    code, out, err = run_cli(capsys, "check", "--weights", weights)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: check walks all ell = {ell} sectors, more than the limit of 100000{hint}\n"
+    )
+    code, out, err = run_cli(capsys, "chenruan", "--weights", weights, "--sectors")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"limit of 100000{hint}\n")
+    # a query is named exactly when it answers
+    queries = {
+        "eval": ("eval", "--ring", "chenruan", "u"),
+        "chenruan --multtable": ("chenruan", "--multtable"),
+    }
+    for name, (command, *rest) in queries.items():
+        code = run_cli(capsys, command, "--weights", weights, *rest)[0]
+        assert (code == 0) == (name in hint), name
 
 
 def test_sparse_queries_work_on_huge_ell(capsys):

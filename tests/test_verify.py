@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations_with_replacement
 
@@ -253,6 +254,27 @@ def test_check_fails_every_euler_class_mutant():
             assert not all(r.passed for r in results), (weights, t, kind)
             killed += 1
     assert killed == 280
+
+
+def test_lemma_alone_fails_every_divisor_mutant():
+    # c/p and d-1 keep c_t dividing the product of the fixed weights and
+    # d_t at most their count, so only equality tells them apart
+    lemma_fails = 0
+    for weights in MUTANT_VECTORS:
+        for t, kind in _mutants(weights):
+            if kind not in ("c/p", "d-1"):
+                continue
+            ring = CrRing(weights)
+            fixed = [bk for bk, r in zip(ring.weights.b, ring.rotations(t)) if r == 0]
+            c, d = MUTATIONS[kind](*ring.euler(t))
+            assert math.prod(fixed) % c == 0 and d <= len(fixed)
+            with pytest.MonkeyPatch.context() as mp:
+                _mutate(mp, t, kind)
+                ok, detail = zero_sector_lemma(CrRing(weights))
+            assert not ok, (weights, t, kind)
+            assert detail == f"sector {t} fixes {fixed}, but its Euler class is {c}u^{d}"
+            lemma_fails += 1
+    assert lemma_fails == 140
 
 
 def _ideal_argument_implies_the_scan(weights, oracles_under_mutants=True):
