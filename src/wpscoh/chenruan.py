@@ -29,7 +29,7 @@ is b * (j mod p), so sector j fixes it exactly when p divides j.
 (b, p, coordinates carrying b) per distinct weight, in increasing
 order.  The ring's Euler data is built by marking, for each row, the
 multiples of p with b^m and m for the row's m coordinates; the marked
-sectors are the nonzero ones (``nonzero_sectors`` marks the same way).
+sectors are the nonzero ones.
 The structure constants read the residues too: at sectors i and j a
 row's coordinates have excess 1 exactly when i mod p + j mod p >= p.
 
@@ -41,6 +41,14 @@ first, at most sum(b) of them.  Rotation numbers and sector records are
 computed on demand, so a ring costs its nonzero sectors, not ell.
 ``CrRing.sectors`` is a view of all ell records that exposes its
 ``ring``.
+
+Two limits bound that cost, and the work they bound refuses itself
+with a one-line ``ValueError``.  ``CrRing`` refuses weights whose index bound
+min(ell, sum(b)) is above ``DENSE_SECTOR_LIMIT`` before it marks any
+sector.  The presentation (so the multiplication table) and
+``verify.run_checks`` form one product per pair of nonzero twisted
+sectors, and refuse more than ``PRODUCT_SECTOR_LIMIT`` such sectors
+before they form any.
 
 In the shape of ``algebra``: a Z[u]-module on one basis element a_j
 per sector, in degree 2 * age(j), with annihilator the Euler class
@@ -64,7 +72,6 @@ raw product a_i * a_j then carries c_{i+j} u^{d_{i+j}}, which reduces to
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,6 +80,18 @@ from operator import itemgetter
 from .abelian import FgAbGroup
 from .algebra import Algebra, Element, monomial, u_power
 from .arith import WeightVector, as_weights
+
+# A ring whose index bound, min(ell, sum of the weights), is above this
+# is refused before any sector is marked: 1,1000000000 would index 10^9
+# nonzero sectors, about 200 GB.  The command line refuses output and
+# walks of all ell sectors (the sector chart, the presentation, check)
+# above the same number.
+DENSE_SECTOR_LIMIT = 100_000
+
+# The presentation and the multiplication table list one product per
+# pair of nonzero twisted sectors, and check walks those pairs; more
+# sectors than this are refused.
+PRODUCT_SECTOR_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -143,17 +162,6 @@ def _sector_table(w: WeightVector) -> tuple:
     return classes, euler
 
 
-def nonzero_sectors(weights) -> tuple[int, ...]:
-    """The nonzero sectors of the weights, sector 0 first: the multiples
-    of p = ell / b over the distinct weights b, marked as for
-    ``CrRing.nonzero``.  There are at most min(ell, sum(b)).
-
-    >>> nonzero_sectors((1, 2, 2, 3, 3, 3))
-    (0, 2, 3, 4)
-    """
-    return tuple(sorted(_sector_table(as_weights(weights))[1]))
-
-
 class CrRing(Algebra):
     """Sector-graded cohomology ring with the twisted product.
 
@@ -172,6 +180,12 @@ class CrRing(Algebra):
     def __init__(self, weights):
         self.weights = w = as_weights(weights)
         self.ell = w.ell
+        bound = min(w.ell, sum(w.b))
+        if bound > DENSE_SECTOR_LIMIT:
+            raise ValueError(
+                f"the sector ring indexes up to min(ell, sum of the weights) = {bound} "
+                f"nonzero sectors, more than the limit of {DENSE_SECTOR_LIMIT}"
+            )
         # Euler class (c_j, d_j) of each nonzero sector; zero sectors have (1, 0)
         self.classes, self._euler = _sector_table(w)
         self.nonzero = tuple(sorted(self._euler))
@@ -215,6 +229,16 @@ class CrRing(Algebra):
     def twisted_generator_indices(self) -> tuple[int, ...]:
         """Indices of the nonzero twisted-sector generators."""
         return self.nonzero[1:]
+
+    def _require_products(self, what: str) -> None:
+        """Refuse to form products of more than ``PRODUCT_SECTOR_LIMIT``
+        nonzero twisted sectors; what names the work in the message."""
+        twisted = len(self.nonzero) - 1
+        if twisted > PRODUCT_SECTOR_LIMIT:
+            raise ValueError(
+                f"{what} products of {twisted} nonzero twisted sectors, "
+                f"more than the limit of {PRODUCT_SECTOR_LIMIT}"
+            )
 
     # -- elements -----------------------------------------------------------
 
@@ -304,8 +328,10 @@ class CrRing(Algebra):
         the module docstring their products reduce to 0.  So the product
         relations run over the nonzero twisted sectors only, each the
         reduced monomial of its structure constants.  The ell generators
-        and kernel relations are read off the ring when asked for.
+        and kernel relations are read off the ring when asked for.  More
+        than ``PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors are refused.
         """
+        self._require_products("the presentation and multiplication table list")
         idx = self.twisted_generator_indices()
         products = []
         for x, i in enumerate(idx):
@@ -380,13 +406,19 @@ class CrRing(Algebra):
 
     def equivalent(self, other: "CrRing") -> bool:
         """Presentation equivalence: some relabelling of the sector group
-        matches all sector data and all structure constants.
+        by a unit mod ell matches all sector data and all structure
+        constants.  This is an equality of presentations, not a general
+        graded-isomorphism test.
 
-        Brute force over the multiplicative units mod ell; this is an
-        equality of presentations, not a general graded-isomorphism test.
-        Zero sectors carry no data the ring sees, so a relabelling only has
-        to carry the nonzero sectors onto the other ring's nonzero sectors
-        and match data and structure constants there.
+        It holds exactly when the two weight multisets are equal.  A unit
+        relabelling keeps each sector's order o, and the Euler exponent
+        d of a sector of order o counts the weights that o divides.  Every
+        divisor o of ell is the order of some sector, so matching Euler
+        data gives equal counts for every o; as every weight divides ell,
+        those counts fix how many weights equal each divisor (Moebius
+        inversion over the divisors of ell).  Conversely, equal multisets
+        give equal Euler data, shifts and structure constants under the
+        identity relabelling.
 
         >>> CrRing((2, 2)).equivalent(CrRing((4, 1)))
         False
@@ -395,26 +427,7 @@ class CrRing(Algebra):
         """
         if not isinstance(other, CrRing):
             raise ValueError("can only compare two sector rings")
-        if self.ell != other.ell or self.weights.n != other.weights.n:
-            return False
-        if len(self.nonzero) != len(other.nonzero):
-            return False
-        ell = self.ell
-        nz = self.nonzero
-        units = (t for t in range(ell) if math.gcd(t, ell) == 1)
-        for t in units:
-            if all(self._matches_under(other, t, j) for j in nz) and all(
-                self._raw_product(i, j)[:2]
-                == other._raw_product(t * i % ell, t * j % ell)[:2]
-                for x, i in enumerate(nz)
-                for j in nz[x:]
-            ):
-                return True
-        return False
-
-    def _matches_under(self, other: "CrRing", t: int, j: int) -> bool:
-        k = t * j % self.ell
-        return (self.euler(j), self._shift_units(j)) == (other.euler(k), other._shift_units(k))
+        return sorted(self.weights.b) == sorted(other.weights.b)
 
     # -- misc ----------------------------------------------------------------------------
 

@@ -35,15 +35,19 @@ every later call in the process, so an in-process caller pays for
 argparse once.
 
 Inputs whose output or work would grow without bound exit 2 with a
-one-line message: more than ``MAX_WEIGHTS`` weights in one vector, a
-``--max-degree`` above ``MAX_DEGREE_LIMIT``, a sector chart,
-presentation or ``check`` with more than ``DENSE_SECTOR_LIMIT`` sectors,
-a sector ring for ``chenruan`` or ``eval`` that would index more than
-``DENSE_SECTOR_LIMIT`` nonzero sectors (min(ell, sum of the weights)
-bounds their number), a presentation, multiplication table or ``check``
-with more than ``PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors, and an
-``eval`` product of more than ``algebra.MAX_PRODUCT_PAIRS`` monomial
-pairs.
+one-line message.  ``cli`` holds the limits of its own input and
+output: more than ``MAX_WEIGHTS`` weights in one vector, a
+``--max-degree`` above ``MAX_DEGREE_LIMIT``, and a sector chart,
+presentation or ``check`` with more than ``chenruan.DENSE_SECTOR_LIMIT``
+sectors, since each walks all ell of them.  The work it calls refuses
+itself: a sector ring for ``chenruan`` or ``eval`` that would index more
+than ``chenruan.DENSE_SECTOR_LIMIT`` nonzero sectors (``CrRing``), a
+presentation, multiplication table or ``check`` with more than
+``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors
+(``CrRing.presentation``, ``verify.run_checks``), and an ``eval``
+product of more than ``algebra.MAX_PRODUCT_PAIRS`` monomial pairs.  So
+each call builds its sector table once, and the refusals come in that
+order: dense, index, products, then ``--max-degree``.
 """
 
 from __future__ import annotations
@@ -57,23 +61,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
+from . import chenruan
 from .abelian import GradedGroups, _degree_json
 from .algebra import monomial, u_power
 from .arith import WeightVector
-from .chenruan import CrElement, CrRing, KernelRelation, ProductRelation, _Sectors, nonzero_sectors
+from .chenruan import CrElement, CrRing, KernelRelation, ProductRelation, _Sectors
 from .expr import EvalError, ParseError, evaluate, parse
 from .kawasaki import KawasakiElement, KawasakiRing
 from .kunneth import product_groups
 from .orbifold import OrbifoldElement, OrbifoldRing
 from .verify import CheckResult, run_checks
-
-# Output with one column or generator per sector (the sector chart, the
-# presentation) and check, whose residue walks cost ell / b per distinct
-# weight b, refuse rings with more sectors than this.  The multiplication
-# table and eval see only the nonzero sectors, which a sector ring
-# indexes when it is built; they refuse weights with more than this many
-# possible nonzero sectors, min(ell, sum of the weights).
-DENSE_SECTOR_LIMIT = 100_000
 
 # More weights than this in one vector are refused.  The coarse ring of
 # n + 1 weights lists n(n+1)/2 products and check compares (n+1)^3
@@ -85,55 +82,24 @@ MAX_WEIGHTS = 64
 # lists each degree up to it, and kunneth's listing grows with its square.
 MAX_DEGREE_LIMIT = 4000
 
-# The presentation and the multiplication table list one product per
-# pair of nonzero twisted sectors, and check walks those pairs; more
-# sectors than this are refused.
-PRODUCT_SECTOR_LIMIT = 1000
-
 
 def _require_dense(weights: WeightVector, what: str) -> None:
-    """Refuse weights with more than ``DENSE_SECTOR_LIMIT`` sectors.  The
+    """Refuse output and walks of all ell sectors (the sector chart, the
+    presentation, check) above ``chenruan.DENSE_SECTOR_LIMIT``.  The
     message names the sparse queries whose own limits the weights pass:
-    eval needs the index bound, chenruan --multtable the product limit
-    too."""
-    if weights.ell > DENSE_SECTOR_LIMIT:
+    eval needs the sector ring's index bound, chenruan --multtable its
+    product limit too."""
+    limit = chenruan.DENSE_SECTOR_LIMIT
+    if weights.ell > limit:
         sparse = ""
         with contextlib.suppress(ValueError):
-            _require_index(weights)
+            ring = CrRing(weights)
             sparse = "; eval still works"
-            _require_products(weights, "")
+            ring._require_products("")
             sparse = "; chenruan --multtable and eval still work"
         raise ValueError(
             f"{what} walks all ell = {weights.ell} sectors, more than the limit of "
-            f"{DENSE_SECTOR_LIMIT}{sparse}"
-        )
-
-
-def _require_index(weights: WeightVector) -> None:
-    """Refuse weights whose sector ring could index more than
-    ``DENSE_SECTOR_LIMIT`` nonzero sectors, before anything indexes them."""
-    bound = min(weights.ell, sum(weights.b))
-    if bound > DENSE_SECTOR_LIMIT:
-        raise ValueError(
-            f"the sector ring indexes up to min(ell, sum of the weights) = {bound} "
-            f"nonzero sectors, more than the limit of {DENSE_SECTOR_LIMIT}"
-        )
-
-
-def _sector_ring(weights: WeightVector) -> CrRing:
-    """The sector ring, refused before it indexes too many nonzero sectors."""
-    _require_index(weights)
-    return CrRing(weights)
-
-
-def _require_products(weights: WeightVector, what: str) -> None:
-    """Refuse weights with more than ``PRODUCT_SECTOR_LIMIT`` nonzero
-    twisted sectors; their index must already be within bounds."""
-    twisted = len(nonzero_sectors(weights)) - 1
-    if twisted > PRODUCT_SECTOR_LIMIT:
-        raise ValueError(
-            f"{what} products of {twisted} nonzero twisted sectors, "
-            f"more than the limit of {PRODUCT_SECTOR_LIMIT}"
+            f"{limit}{sparse}"
         )
 
 
@@ -458,14 +424,11 @@ def _cmd_chenruan(args) -> dict:
     sections = sections or {"sectors", "presentation"}
     if sections & {"sectors", "presentation"}:
         _require_dense(args.weights, "the sector chart or presentation")
-    _require_index(args.weights)
-    products = sections & {"presentation", "multtable"}
-    if products:
-        _require_products(args.weights, "the presentation and multiplication table list")
     ring = CrRing(args.weights)
+    # the product relations are the multiplication table; the presentation
+    # refuses too many products before --max-degree is read
+    pres = ring.presentation() if sections & {"presentation", "multtable"} else None
     max_degree = _max_degree(args, ring.weights.n)
-    # the product relations are the multiplication table
-    pres = ring.presentation() if products else None
 
     doc = {"weights": ring.weights, "ell": ring.ell}
     if "sectors" in sections:
@@ -659,7 +622,7 @@ def _kunneth_latex(doc) -> str:
 # -- eval -----------------------------------------------------------------------------
 
 
-_RINGS = {"kawasaki": KawasakiRing, "orbifold": OrbifoldRing, "chenruan": _sector_ring}
+_RINGS = {"kawasaki": KawasakiRing, "orbifold": OrbifoldRing, "chenruan": CrRing}
 
 
 def _cmd_eval(args) -> dict:
@@ -689,7 +652,6 @@ def _eval_latex(doc) -> str:
 
 def _cmd_check(args) -> dict:
     _require_dense(args.weights, "check")
-    _require_products(args.weights, "check forms")
     results = run_checks(args.weights)
     return {"weights": args.weights, "ok": all(r.passed for r in results), "results": results}
 

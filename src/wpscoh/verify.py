@@ -56,6 +56,11 @@ with the per-coordinate degree shifts.  ``pair_scan`` stays in
 with the per-coordinate excess on residue pairs would call it on one
 sector pair per residue pair, a sample of the sector pairs.
 
+``run_checks`` forms the structure constants of every pair of nonzero
+sectors, so it refuses a ring with more than
+``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors before any
+walk, and before it builds the coarse or orbifold ring.
+
 ``star_associativity_scan``, the direct scan over all triples of
 nonzero sectors, is kept as the exhaustive test oracle for the ideal
 check; it does not sample, and ``run_checks`` does not call it.
@@ -170,11 +175,14 @@ def zero_sector_lemma(ring: CrRing):
 
 
 def run_checks(weights):
-    """All invariant checks for one weight vector, as CheckResult records."""
+    """All invariant checks for one weight vector, as CheckResult records.
+    More than ``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors
+    are refused with a ``ValueError`` before any check runs."""
     w = as_weights(weights)
+    cr = CrRing(w)
+    cr._require_products("check forms")
     kaw = KawasakiRing(w)
     orb = OrbifoldRing(w)
-    cr = CrRing(w)
     ell = cr.ell
     nz = cr.nonzero
     results = []
@@ -244,11 +252,11 @@ def run_checks(weights):
         check(f"coarse ring: structure constants unchanged under b -> {scale}b", ok)
 
     # comparison map is multiplicative, including the vanishing range
+    gammas = [(g, kaw.qstar(g, orb)) for g in map(kaw.gamma, range(w.n + 1))]
     ok = all(
-        kaw.qstar(kaw.gamma(k) * kaw.gamma(m), orb)
-        == orb.multiply(kaw.qstar(kaw.gamma(k), orb), kaw.qstar(kaw.gamma(m), orb))
-        for k in range(w.n + 1)
-        for m in range(w.n + 1)
+        kaw.qstar(gk * gm, orb) == orb.multiply(qk, qm)
+        for gk, qk in gammas
+        for gm, qm in gammas
     )
     check("comparison map: multiplicative on generator pairs", ok)
 
@@ -278,9 +286,10 @@ def run_checks(weights):
 
     # the unit, on the basis monomials u^m a_j with m <= d_j
     monomials = [cr.element({j: {m: 1}}) for j in nz for m in range(cr.euler(j)[1] + 1)]
+    one = cr.one()
     check(
         "twisted product: sector-0 generator is the unit",
-        all(cr.star(cr.one(), x) == x for x in monomials),
+        all(cr.star(one, x) == x for x in monomials),
         f"exhaustive over {len(monomials)} basis monomials",
     )
 
@@ -298,16 +307,15 @@ def run_checks(weights):
 
     # the identity sector is the orbifold ring, on pairs of basis monomials
     ok = cr.euler(0) == (w.N, w.n + 1) and cr._shift_units(0) == 0
-    exponents = range(w.n + 2)
-    for a in exponents:
-        for b in exponents:
-            lhs = cr.star(cr.u(a), cr.u(b))
-            if lhs.parts.get(0, {}) != orb.multiply(orb.u(a), orb.u(b)).coeffs:
+    powers = [(cr.u(a), orb.u(a)) for a in range(w.n + 2)]
+    for x, x_orb in powers:
+        for y, y_orb in powers:
+            if cr.star(x, y).parts.get(0, {}) != orb.multiply(x_orb, y_orb).coeffs:
                 ok = False
     check(
         "identity sector: agrees with the orbifold ring",
         ok,
-        f"exhaustive over {len(exponents) ** 2} pairs of basis monomials",
+        f"exhaustive over {len(powers) ** 2} pairs of basis monomials",
     )
 
     # sectors acting trivially on every coordinate are exactly the

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpscoh import cli
+from wpscoh import chenruan, cli
 from wpscoh.chenruan import CrRing
 from wpscoh.cli import main
 from wpscoh.kawasaki import KawasakiRing
@@ -242,7 +242,7 @@ def test_sparse_queries_work_on_huge_ell(capsys):
 
 
 def test_dense_limit_boundary(capsys, monkeypatch):
-    monkeypatch.setattr("wpscoh.cli.DENSE_SECTOR_LIMIT", 6)
+    monkeypatch.setattr("wpscoh.chenruan.DENSE_SECTOR_LIMIT", 6)
     assert run_cli(capsys, "chenruan", "--weights", "1,2,3", "--sectors")[0] == 0
     assert run_cli(capsys, "check", "--weights", "1,2,3")[0] == 0
     assert run_cli(capsys, "chenruan", "--weights", "1,2,4,3", "--sectors")[0] == 2
@@ -251,7 +251,7 @@ def test_dense_limit_boundary(capsys, monkeypatch):
 
 def test_product_limit_boundary_for_check(capsys, monkeypatch):
     # (1,2,3) has 3 nonzero twisted sectors, (2,3,4) has 5
-    monkeypatch.setattr("wpscoh.cli.PRODUCT_SECTOR_LIMIT", 3)
+    monkeypatch.setattr("wpscoh.chenruan.PRODUCT_SECTOR_LIMIT", 3)
     assert run_cli(capsys, "check", "--weights", "1,2,3")[0] == 0
     code, out, err = run_cli(capsys, "check", "--weights", "2,3,4")
     assert (code, out) == (2, "")
@@ -442,17 +442,22 @@ def test_listed_products_are_bounded(capsys, sections):
 @pytest.mark.parametrize("argv", [("eval", "--ring", "chenruan", "u"), ("chenruan", "--multtable")])
 def test_sector_index_is_bounded(capsys, monkeypatch, argv):
     # a ring of 1,1000000000 would index 10^9 nonzero sectors, about 200 GB,
-    # so a ring built before the refusal fails the test instead
+    # so a sector table built before the refusal fails the test instead
     def refuse(weights):
-        raise AssertionError("the sector ring was built before the bound was checked")
+        raise AssertionError("the sector table was built before the bound was checked")
 
-    monkeypatch.setattr("wpscoh.cli.CrRing", refuse)
+    monkeypatch.setattr(chenruan, "_sector_table", refuse)
+    message = (
+        "the sector ring indexes up to min(ell, sum of the weights) = 1000000000 "
+        "nonzero sectors, more than the limit of 100000"
+    )
     code, out, err = run_cli(capsys, argv[0], "--weights", "1,1000000000", *argv[1:])
     assert (code, out) == (2, "")
-    assert err == (
-        "error: the sector ring indexes up to min(ell, sum of the weights) = 1000000000 "
-        "nonzero sectors, more than the limit of 100000\n"
-    )
+    assert err == f"error: {message}\n"
+    # the ring refuses itself, called from the library too
+    with pytest.raises(ValueError) as exc:
+        CrRing((1, 10**9))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -463,14 +468,33 @@ def test_sector_index_is_bounded(capsys, monkeypatch, argv):
         (("check", "--weights", "1,9973"), "check forms products of 9972"),
     ],
 )
-def test_product_limit_is_checked_before_the_ring_is_built(capsys, monkeypatch, argv, message):
-    def refuse(weights):
-        raise AssertionError("the sector ring was built before the product limit was checked")
+def test_product_limit_is_checked_before_any_product(capsys, monkeypatch, argv, message):
+    def refuse(ring, i, j):
+        raise AssertionError("a product was formed before the product limit was checked")
 
-    monkeypatch.setattr("wpscoh.cli.CrRing", refuse)
+    monkeypatch.setattr(CrRing, "_raw_product", refuse)
+    calls = Counter()
+    _count_calls(monkeypatch, chenruan, "_sector_table", calls)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message} nonzero twisted sectors, more than the limit of 1000\n"
+    assert calls["_sector_table"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--weights", "4,9,14"),
+        ("chenruan", "--weights", "7,8,15"),
+        ("chenruan", "--weights", "7,8,15", "--multtable"),
+        ("eval", "--weights", "7,8,15", "--ring", "chenruan", "a105*a56"),
+    ],
+)
+def test_each_call_builds_one_sector_table(capsys, monkeypatch, argv):
+    calls = Counter()
+    _count_calls(monkeypatch, chenruan, "_sector_table", calls)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls["_sector_table"] == 1
 
 
 def test_check_builds_one_sector_ring(capsys, monkeypatch):
@@ -481,7 +505,7 @@ def test_check_builds_one_sector_ring(capsys, monkeypatch):
 
 
 def test_sector_index_limit_boundary(capsys, monkeypatch):
-    monkeypatch.setattr("wpscoh.cli.DENSE_SECTOR_LIMIT", 5)
+    monkeypatch.setattr("wpscoh.chenruan.DENSE_SECTOR_LIMIT", 5)
     # (2,3): ell 6 but sum 5; (3,3,3): sum 9 but ell 3; (1,2,3): both 6
     for weights, code in (("2,3", 0), ("3,3,3", 0), ("1,2,3", 2)):
         assert run_cli(capsys, "eval", "--weights", weights, "--ring", "chenruan", "u")[0] == code
@@ -489,7 +513,7 @@ def test_sector_index_limit_boundary(capsys, monkeypatch):
 
 
 def test_product_limit_boundary(capsys, monkeypatch):
-    monkeypatch.setattr("wpscoh.cli.PRODUCT_SECTOR_LIMIT", 3)
+    monkeypatch.setattr("wpscoh.chenruan.PRODUCT_SECTOR_LIMIT", 3)
     # (1,2,3) has 3 nonzero twisted sectors, (2,3,4) has 5
     assert run_cli(capsys, "chenruan", "--weights", "1,2,3")[0] == 0
     assert run_cli(capsys, "chenruan", "--weights", "1,2,3", "--multtable")[0] == 0

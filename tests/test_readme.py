@@ -2,10 +2,15 @@
 
 Each ``wpscoh ...`` line of the command block goes through ``cli.main``
 and must exit 0.  The library example runs as a script, and each line
-it prints must be the value that its trailing comment names.
+it prints must be the value that its trailing comment names.  Every
+dotted name ``wpscoh.<module>.<NAME>`` that the README quotes must
+resolve, and every module-level limit (``MAX_*`` or ``*_LIMIT``) must be
+quoted so.
 """
 
+import ast
 import contextlib
+import importlib
 import io
 import re
 import shlex
@@ -13,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import wpscoh
 from wpscoh.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -54,3 +60,25 @@ def test_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def test_every_dotted_name_resolves():
+    names = re.findall(r"`wpscoh\.(\w+)\.(\w+)`", README)
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"wpscoh.{module}"), name), (module, name)
+
+
+def test_every_limit_is_named_by_its_module():
+    package = Path(wpscoh.__file__).parent
+    limits = [
+        f"wpscoh.{path.stem}.{target.id}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.fullmatch(r"MAX_\w+|\w+_LIMIT", target.id)
+    ]
+    assert limits
+    for name in limits:
+        assert f"`{name}`" in README, name

@@ -12,7 +12,7 @@ few hundred sectors.
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -156,6 +156,20 @@ def test_sparse_matches_dense_on_corpus():
 @pytest.mark.parametrize("b", WIDE)
 def test_sparse_matches_dense_on_wide_vectors(b):
     assert_matches_dense(b)
+
+
+def test_equivalent_matches_dense_on_every_small_vector():
+    # every ordered vector of 1 to 3 weights up to 6, against every other
+    # with the same ell and length, so permuted vectors meet each other
+    vectors = [b for size in range(1, 4) for b in product(range(1, 7), repeat=size)]
+    groups = defaultdict(list)
+    for b in vectors:
+        groups[math.lcm(*b), len(b)].append(b)
+    rings = {b: (CrRing(b), DenseSectors(b)) for b in vectors}
+    for members in groups.values():
+        for a, b in combinations_with_replacement(members, 2):
+            (ra, da), (rb, db) = rings[a], rings[b]
+            assert ra.equivalent(rb) == da.equivalent(db), (a, b)
 
 
 def test_equivalent_matches_dense_on_corpus():

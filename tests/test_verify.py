@@ -105,6 +105,28 @@ def test_scan_is_exhaustive_over_nonzero_sectors(weights):
     assert scan.detail == f"exhaustive over {nonzero**2} nonzero pairs"
 
 
+_LISTS = "the presentation and multiplication table list"
+
+
+@pytest.mark.parametrize(
+    "work, what",
+    [
+        (lambda: CrRing((2, 3, 4)).presentation(), _LISTS),
+        (lambda: CrRing((2, 3, 4)).mult_table(), _LISTS),
+        (lambda: run_checks((2, 3, 4)), "check forms"),
+    ],
+    ids=["presentation", "mult_table", "run_checks"],
+)
+def test_product_work_refuses_itself_above_the_limit(monkeypatch, work, what):
+    # (2,3,4) has 5 nonzero twisted sectors
+    monkeypatch.setattr("wpscoh.chenruan.PRODUCT_SECTOR_LIMIT", 3)
+    with pytest.raises(ValueError) as exc:
+        work()
+    assert str(exc.value) == (
+        f"{what} products of 5 nonzero twisted sectors, more than the limit of 3"
+    )
+
+
 def test_run_checks_draws_no_random_numbers(monkeypatch):
     assert not hasattr(verify, "random")
     for name in ("Random", "choice", "random", "randrange"):
