@@ -7,13 +7,24 @@ numbers a_k(j) = frac(b_k j / ell), the coordinates it fixes, the Euler
 coefficient c_j (product of the fixed weights) with exponent d_j (their
 count), and a rational degree shift 2 * sum_k a_k(j).  The shift is
 kept as an integer in units of 1/ell, s_j = 2 * sum_k (b_k j mod ell)
-(``CrRing._shift_units``).  Output reads the rotation numerators
-(``CrRing.rotations``) and the Euler data (``CrRing.euler``) as
-integers; a ``SectorData`` record, with the per-coordinate fractions,
-is built only when a library caller asks for a sector.  The
-presentation reads its ell generators and kernel relations off the ring
-when asked for them, and forms each product relation straight from the
-structure constants and the Euler class of the target sector.
+(``CrRing._shift_units``).  A ``SectorData`` record, with the
+per-coordinate fractions, is built only when a library caller asks for
+a sector.
+
+Output of all ell sectors (the sector chart, the presentation's
+generators and kernel relations) reads columns of the ring, built once
+per ring on first use: per weight class the numerators b j mod ell
+(``CrRing.numerator_columns``, through the one reader
+``CrRing._numerators`` that the residue walks of ``verify`` read too),
+the shift units (``CrRing.shift_column``), the Euler data
+(``CrRing.euler_column``) and the generator names.  Each column has ell
+entries, so only dense output reads them; the per-sector readers
+(``rotations``, ``_shift_units``, ``_annihilator``) serve sparse
+callers and stay as the columns' test oracle.  ``CrPresentation``
+holds its generators and kernel relations as the views
+``GeneratorUnits`` and ``KernelRelations`` over those columns, and forms
+each product relation straight from the structure constants and the
+Euler class of the target sector.
 
 The ring is generated over Z by a degree-2 class u and one placeholder
 generator per sector.  Generator products twist into the sector [i+j]
@@ -174,7 +185,7 @@ class CrRing(Algebra):
     0
     """
 
-    __slots__ = ("ell", "classes", "nonzero", "_euler")
+    __slots__ = ("ell", "classes", "nonzero", "_euler", "_columns")
     _element_class = CrElement
 
     def __init__(self, weights):
@@ -189,6 +200,7 @@ class CrRing(Algebra):
         # Euler class (c_j, d_j) of each nonzero sector; zero sectors have (1, 0)
         self.classes, self._euler = _sector_table(w)
         self.nonzero = tuple(sorted(self._euler))
+        self._columns = None  # the dense columns, built on first use
 
     @property
     def sectors(self) -> "_Sectors":
@@ -204,6 +216,46 @@ class CrRing(Algebra):
         denominator ell: (b_k * j) mod ell for each coordinate k."""
         ell = self.ell
         return tuple([bk * j % ell for bk in self.weights.b])
+
+    def _numerators(self, b: int, js) -> list[int]:
+        """The weight-b rotation numerators b * j mod ell at the sectors
+        js.  The numerator columns and the residue walks of ``verify``
+        read the numerators through it."""
+        ell = self.ell
+        return [b * j % ell for j in js]
+
+    def _dense_columns(self) -> tuple:
+        """The numerator, shift and Euler columns, built on first use and
+        kept for the life of the ring."""
+        if self._columns is None:
+            ell, sectors = self.ell, range(self.ell)
+            numerators = tuple([self._numerators(b, sectors) for b, _, _ in self.classes])
+            shifts = [0] * ell
+            for (_, _, coords), column in zip(self.classes, numerators):
+                twice_m = 2 * len(coords)
+                shifts = [s + twice_m * t for s, t in zip(shifts, column)]
+            euler = [(1, 0)] * ell
+            for j, cd in self._euler.items():
+                euler[j] = cd
+            self._columns = numerators, shifts, euler
+        return self._columns
+
+    def numerator_columns(self) -> tuple[list[int], ...]:
+        """Per row (b, p, coordinates) of ``classes``, the numerators
+        b * j mod ell of all ell sectors.  For dense output only: each
+        column has ell entries."""
+        return self._dense_columns()[0]
+
+    def shift_column(self) -> list[int]:
+        """The shift units s_j of all ell sectors: 2 * the sum over the
+        rows of ``classes`` of m times the row's numerator, for the m
+        coordinates of the row.  For dense output only."""
+        return self._dense_columns()[1]
+
+    def euler_column(self) -> list[tuple[int, int]]:
+        """(c_j, d_j) of all ell sectors, read off the Euler data once.
+        For dense output only."""
+        return self._dense_columns()[2]
 
     def sector(self, j: int) -> SectorData:
         self._check_basis(j)
@@ -262,8 +314,18 @@ class CrRing(Algebra):
         its rotation numerators."""
         return 2 * sum(self.rotations(j))
 
+    @staticmethod
+    def _generator_format(latex: bool) -> str:
+        """The name of the sector-j generator, as a format for j."""
+        return r"\alpha_{%d}" if latex else "a%d"
+
+    def generator_names(self, latex: bool = False) -> list[str]:
+        """The generator name a_j of all ell sectors, a0 included.  For
+        dense output only."""
+        return list(map(self._generator_format(latex).__mod__, range(self.ell)))
+
     def _variable(self, j, m, latex):
-        sector = (r"\alpha_{%d}" if latex else "a%d") % j if j else ""
+        sector = self._generator_format(latex) % j if j else ""
         return u_power(m, latex) + sector
 
     # -- the twisted product ---------------------------------------------------
@@ -448,11 +510,12 @@ class CrRing(Algebra):
         )
 
 
-class _Sectors(Sequence):
-    """The ell sector records of ``ring``; each is built on access.
+class _SectorView(Sequence):
+    """One item per sector of ``ring``, as a read-only sequence; each
+    item is built on access by ``_item(j)`` from the per-sector readers.
 
-    An index may be negative, and a slice gives a list of records.
-    Output reads the sectors' integers off ``ring`` and builds no record.
+    An index may be negative, and a slice gives a list of items.  Output
+    reads the ring's columns and builds no item.
     """
 
     __slots__ = ("ring",)
@@ -464,21 +527,30 @@ class _Sectors(Sequence):
         return self.ring.ell
 
     def __getitem__(self, index):
-        ring = self.ring
-        ell = ring.ell
+        ell = self.ring.ell
         if isinstance(index, slice):
-            return [ring._record(j) for j in range(*index.indices(ell))]
+            return [self._item(j) for j in range(*index.indices(ell))]
         if not -ell <= index < ell:
             raise IndexError(f"sector index {index} out of range 0..{ell - 1}")
-        return ring._record(index % ell)
+        return self._item(index % ell)
+
+
+class _Sectors(_SectorView):
+    """The ell sector records of ``ring``."""
+
+    __slots__ = ()
+
+    def _item(self, j: int) -> SectorData:
+        return self.ring._record(j)
 
     def __iter__(self):
         return map(self.ring._record, range(self.ring.ell))
 
 
 # The relations are not frozen: a frozen dataclass's __init__ costs about
-# five times as much, and a presentation has one kernel relation per
-# sector.  They still compare and hash by value.
+# five times as much, and a library caller that walks a presentation's
+# kernel relations builds one per sector.  They still compare and hash
+# by value.
 @dataclass(slots=True, unsafe_hash=True)
 class KernelRelation:
     """One per-sector kernel generator c * u^d * (sector generator)."""
@@ -529,23 +601,72 @@ class ProductRelation:
         return f"a{self.i}*a{self.j} = {self.render()}"
 
 
+class GeneratorUnits(_SectorView):
+    """The generators of a presentation: u, then a_j for every twisted
+    sector j, each as (name, degree in units of 1/ell), with 2 ell for u
+    and the shift units s_j for a_j.  Iteration reads the ring's columns.
+    """
+
+    __slots__ = ()
+
+    def _item(self, j: int) -> tuple[str, int]:
+        ring = self.ring
+        if j == 0:
+            return "u", 2 * ring.ell
+        return ring._variable(j, 0, False), ring._shift_units(j)
+
+    def __iter__(self):
+        return zip(self.names(), self.units())
+
+    def names(self, latex: bool = False) -> list[str]:
+        """u, a1, ..., a_{ell-1}."""
+        names = self.ring.generator_names(latex)
+        names[0] = "u"
+        return names
+
+    def units(self) -> list[int]:
+        """The degrees of the generators in units of 1/ell."""
+        return [2 * self.ring.ell, *self.ring.shift_column()[1:]]
+
+
+class KernelRelations(_SectorView):
+    """The kernel relations c_j u^{d_j} a_j = 0 of all ell sectors, in
+    sector order, as ``KernelRelation`` records.  Iteration reads the
+    ring's Euler column."""
+
+    __slots__ = ()
+
+    def _item(self, j: int) -> KernelRelation:
+        return KernelRelation(j, *self.ring._annihilator(j), self.ring)
+
+    def __iter__(self):
+        ring = self.ring
+        return (KernelRelation(j, c, d, ring) for j, (c, d) in enumerate(ring.euler_column()))
+
+    def render(self, latex: bool = False) -> list[str]:
+        """Each relation's monomial, as ``KernelRelation.render`` writes
+        it: the generator a_j for a zero sector (c_j = 1, d_j = 0), read
+        off the Euler data for the others."""
+        ring = self.ring
+        texts = ring.generator_names(latex)
+        for j, (c, d) in ring._euler.items():
+            texts[j] = monomial(c, ring._variable(j, d, latex))
+        return texts
+
+
 @dataclass(frozen=True)
 class CrPresentation:
     """The presentation of a ring: its product relations, built once, and
-    its ell generators and kernel relations, read off the ring when asked
-    for."""
+    its ell generators and kernel relations as columns of the ring."""
 
     ring: CrRing
     product_relations: tuple[ProductRelation, ...]
 
     @property
-    def generator_units(self) -> tuple[tuple[str, int], ...]:
+    def generator_units(self) -> GeneratorUnits:
         """u, then a_j for every twisted sector, each with its degree in
         units of 1/ell: 2 ell for u, the shift units of sector j for a_j."""
-        ring = self.ring
-        return (("u", 2 * ring.ell),) + tuple(
-            [(f"a{j}", ring._shift_units(j)) for j in range(1, ring.ell)]
-        )
+        return GeneratorUnits(self.ring)
 
     @property
     def generators(self) -> tuple[tuple[str, Fraction], ...]:
@@ -554,7 +675,6 @@ class CrPresentation:
         return tuple((name, Fraction(units, ell)) for name, units in self.generator_units)
 
     @property
-    def kernel_relations(self) -> tuple[KernelRelation, ...]:
+    def kernel_relations(self) -> KernelRelations:
         """c_j u^{d_j} a_j = 0 for every sector j, in sector order."""
-        ring = self.ring
-        return tuple([KernelRelation(j, *ring._annihilator(j), ring) for j in range(ring.ell)])
+        return KernelRelations(self.ring)

@@ -14,21 +14,28 @@ that document in one walk: ``_json`` writes byte for byte what
 JSON types.  It writes scalars, dicts, lists and tuples itself, with no
 special case for any list, and every library value through the writer
 that ``_WRITERS`` holds for its type; a value of any other type raises
-``TypeError``.  A graded listing renders each distinct group once.  The
-ell-sized columns of ``chenruan`` (the sector chart, the generator
-degrees and the kernel relations) are written from integers: the chart
-reads the rotation numerators over ell and the Euler data off the ring
-that its ``CrRing.sectors`` view exposes, and builds no ``SectorData``
-record; degree shifts are in units of 1/ell; each distinct rational
-cell is formatted once per call by ``_ratio``, with no ``Fraction`` or
-element per sector.  The product relations of the presentation and the
-multiplication table are one tuple from ``CrRing.presentation``, and
-each relation prints its own integer monomial.  Text and LaTeX are
-views of the document: one renderer per subcommand and format, named
-beside its handler in the parser, each reading only the document.  LaTeX leaves out the graded
-groups, the group listings and the torsion witness, so a LaTeX document
-does not compute them.  ``main`` is the only place that prints a result or picks
-the exit code.
+``TypeError``.  A graded listing renders each distinct group once.
+
+The ell-sized parts of ``chenruan`` (the sector chart, the generator
+degrees and the kernel relations) are written from columns of the
+ring, after ``_require_dense``: the numerator, shift and Euler columns
+(``CrRing.numerator_columns``, ``shift_column``, ``euler_column``),
+built once per call, and the generator names.  The document holds the ring's ``sectors`` view and
+the presentation's ``GeneratorUnits`` and ``KernelRelations`` views, and
+no ``SectorData`` record, generator dict, ``KernelRelation`` or
+rotation tuple is built per sector.  Degree shifts are in units of
+1/ell.  Each cell that depends on the sector only through a numerator,
+a shift, the Euler data or gcd(j, ell) is formatted once per distinct
+value (``_once``), with no ``Fraction`` or element per sector.  The
+product relations sit in one ``_Products`` holder under both
+``relations.I`` and ``mult_table``, and each relation renders its
+integer monomial once per call, whatever sections are shown.
+
+Text and LaTeX are views of the document: one renderer per subcommand
+and format, named beside its handler in the parser, each reading only
+the document.  LaTeX leaves out the graded groups, the group listings
+and the torsion witness, so a LaTeX document does not compute them.
+``main`` is the only place that prints a result or picks the exit code.
 
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the process, so an in-process caller pays for
@@ -55,6 +62,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -65,7 +73,7 @@ from . import chenruan
 from .abelian import GradedGroups, _degree_json
 from .algebra import monomial, u_power
 from .arith import WeightVector
-from .chenruan import CrElement, CrRing, KernelRelation, ProductRelation, _Sectors
+from .chenruan import CrElement, CrRing, GeneratorUnits, KernelRelations, _Sectors
 from .expr import EvalError, ParseError, evaluate, parse
 from .kawasaki import KawasakiElement, KawasakiRing
 from .kunneth import product_groups
@@ -194,6 +202,29 @@ class _Graded:
         return self.pairs
 
 
+class _Products:
+    """The product relations of a presentation, held once under both
+    relations.I and mult_table; each relation renders its monomial once
+    per notation, however many sections show it."""
+
+    __slots__ = ("relations", "_texts")
+
+    def __init__(self, relations):
+        self.relations = relations
+        self._texts = {}
+
+    def texts(self, latex: bool = False) -> list[str]:
+        """Each relation's product, as ``ProductRelation.render`` writes it."""
+        texts = self._texts.get(latex)
+        if texts is None:
+            texts = self._texts[latex] = [rel.render(latex) for rel in self.relations]
+        return texts
+
+    def lines(self) -> list[str]:
+        """``a_i*a_j = product`` per relation, as ``str`` writes one."""
+        return [f"a{rel.i}*a{rel.j} = {text}" for rel, text in zip(self.relations, self.texts())]
+
+
 def _dump_json(doc) -> str:
     """What ``json.dumps(indent=2, sort_keys=True)`` writes for doc with
     each library value replaced by its JSON form, without building that
@@ -255,27 +286,55 @@ def _write_listing(pairs, degree_text, newline: str) -> str:
     return f"[{entry}{(',' + entry).join(texts)}{newline}]"
 
 
+def _once(column, form) -> list[str]:
+    """form(x) for each entry x of column, formatted once per distinct
+    value."""
+    texts = {x: form(x) for x in set(column)}
+    return list(map(texts.__getitem__, column))
+
+
+def _ratios(column, ell: int, latex: bool = False) -> list[str]:
+    """``_ratio(x, ell, latex)`` for each entry x of column, formatted
+    once per distinct value."""
+    return _once(column, lambda x: _ratio(x, ell, latex))
+
+
+def _gcd_column(ell: int) -> list[int]:
+    """gcd(j, ell) for all ell sectors.  The coordinates that sector j
+    fixes are those of the weight classes whose p divides it, that is,
+    divides gcd(j, ell)."""
+    return list(map(math.gcd, range(ell), itertools.repeat(ell)))
+
+
 def _sectors_json(sectors: _Sectors, newline: str) -> str:
     """The JSON text of the sector records of a ring, written from its
-    integers; each distinct rational cell is formatted once per call."""
+    columns; each cell that depends on the sector only through a
+    numerator, a shift, the Euler data or gcd(j, ell) is formatted once
+    per distinct value."""
     ring = sectors.ring
     ell = ring.ell
     inner = newline + "  "
     field = inner + "  "
     item = field + "  "
-    template = (
-        f'{{{field}"a": [{item}"%s"{field}],{field}"degree_shift": "%s",'
-        f'{field}"euler": {{{item}"coefficient": %d,{item}"exponent": %d{field}}},'
-        f'{field}"fixed": %s,{field}"j": %d{inner}}}'
-    )
-    cell = functools.lru_cache(maxsize=None)(_ratio)
-    texts = []
-    for j in range(ell):
-        rotations = ring.rotations(j)
-        fixed = [k for k, t in enumerate(rotations) if not t] if 0 in rotations else []
-        fixed = f"[{item}{(',' + item).join(map(str, fixed))}{field}]" if fixed else "[]"
-        a = f'",{item}"'.join([cell(t, ell) for t in rotations])
-        texts.append(template % (a, cell(2 * sum(rotations), ell), *ring._annihilator(j), fixed, j))
+
+    def euler(cd):
+        return f'{{{item}"coefficient": {cd[0]},{item}"exponent": {cd[1]}{field}}}'
+
+    def fixed(g):
+        coords = sorted(k for _, p, ks in ring.classes if not g % p for k in ks)
+        return f"[{item}{(',' + item).join(map(str, coords))}{field}]" if coords else "[]"
+
+    numerators = zip(ring.classes, ring.numerator_columns())
+    cells = {b: _ratios(column, ell) for (b, _, _), column in numerators}
+    # per sector, the cells of its coordinates, in coordinate order
+    rotations = map(f'",{item}"'.join, zip(*[cells[b] for b in ring.weights.b]))
+    columns = zip(rotations, _ratios(ring.shift_column(), ell), _once(ring.euler_column(), euler),
+                  _once(_gcd_column(ell), fixed))
+    texts = [
+        f'{{{field}"a": [{item}"{a}"{field}],{field}"degree_shift": "{shift}",{field}"euler": {e},'
+        f'{field}"fixed": {f},{field}"j": {j}{inner}}}'
+        for j, (a, shift, e, f) in enumerate(columns)
+    ]
     return f"[{inner}{(',' + inner).join(texts)}{newline}]"
 
 
@@ -289,10 +348,35 @@ def _group_json(group, newline: str) -> str:
     return f'{{{inner}"free_rank": {group.free_rank},{inner}"torsion": {torsion}{newline}}}'
 
 
-def _product_json(rel: ProductRelation, newline: str) -> str:
+def _products_json(products: "_Products", newline: str) -> str:
+    """The JSON text of [{"i": ..., "j": ..., "product": ...}, ...]."""
+    if not products.relations:
+        return "[]"
     inner = newline + "  "
-    product = _quote(rel.render())
-    return f'{{{inner}"i": {rel.i},{inner}"j": {rel.j},{inner}"product": {product}{newline}}}'
+    field = inner + "  "
+    texts = [
+        f'{{{field}"i": {rel.i},{field}"j": {rel.j},{field}"product": {_quote(text)}{inner}}}'
+        for rel, text in zip(products.relations, products.texts())
+    ]
+    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
+
+
+def _json_strings(texts: list[str], newline: str) -> str:
+    """The JSON text of a non-empty list of strings."""
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(map(_quote, texts))}{newline}]"
+
+
+def _generators_json(generators: GeneratorUnits, newline: str) -> str:
+    """The JSON text of [{"degree": ..., "name": ...}, ...]."""
+    inner = newline + "  "
+    field = inner + "  "
+    degrees = _ratios(generators.units(), generators.ring.ell)
+    texts = [
+        f'{{{field}"degree": "{degree}",{field}"name": "{name}"{inner}}}'
+        for name, degree in zip(generators.names(), degrees)
+    ]
+    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
 
 
 def _quoted(x, newline: str) -> str:
@@ -304,8 +388,9 @@ _WRITERS = {
     CrElement: _quoted,
     KawasakiElement: _quoted,
     OrbifoldElement: _quoted,
-    KernelRelation: _quoted,
-    ProductRelation: _product_json,
+    GeneratorUnits: _generators_json,
+    KernelRelations: lambda rels, newline: _json_strings(rels.render(), newline),
+    _Products: _products_json,
     _Sectors: _sectors_json,
     WeightVector: lambda w, newline: _json(w.b, newline),
     CheckResult: lambda r, newline: _json(
@@ -357,15 +442,16 @@ _LOCUS_LATEX = (r"\mathbb{C}^{%d}", r"\{0\}", r"\mathbb{C}_{(%d)}")
 
 
 def _locus(ring: CrRing, j: int, tokens) -> str:
-    """The fixed locus of sector j: the d_j coordinates it fixes are those
-    of the weight classes whose p divides j."""
+    """The fixed locus of sector j: the coordinates of the weight classes
+    whose p divides j.  So sectors with the same gcd(j, ell) have the
+    same locus, and j may be that gcd, ell included."""
     whole, origin, line = tokens
-    d = ring._annihilator(j)[1]
+    fixed = [(b, len(coords)) for b, p, coords in ring.classes if not j % p]
+    d = sum(m for _, m in fixed)
     if d == len(ring.weights):
         return whole % d
     if not d:
         return origin
-    fixed = [(b, len(coords)) for b, p, coords in ring.classes if not j % p]
     return "+".join((str(m) if m > 1 else "") + line % b for b, m in fixed)
 
 
@@ -380,29 +466,30 @@ def _euler_label(c: int, d: int, latex: bool = False) -> str:
 
 
 def _sector_rows(doc, latex: bool = False):
-    """(label, per-sector cells) rows of the sector chart."""
+    """(label, per-sector cells) rows of the sector chart, read off the
+    ring's columns; each cell that depends on the sector only through a
+    numerator, a shift, the Euler data or gcd(j, ell) is formatted once
+    per distinct value."""
     ring = doc["sectors"].ring
     ell = ring.ell
     if latex:
         locus = _LOCUS_LATEX
         labels = ("g", r"(\mathbb{C}^{%d})^g" % len(ring.weights),
                   r"2\cdot\mathrm{age}(g)", r"\text{generator}", "e(g)")
-        sector, rotation, generator = r"\zeta_{%d}", r"a_{\mathbb{C}_{(%d)}}(g)", r"\alpha_{%d}"
+        sector, rotation = r"\zeta_{%d}", r"a_{\mathbb{C}_{(%d)}}(g)"
     else:
         locus = _LOCUS_TEXT
         labels = ("sector", "fixed locus", "2*age", "generator", "euler class")
-        sector, rotation, generator = "zeta_%d", "a_(%d)", "a%d"
-    cell = functools.lru_cache(maxsize=None)(_ratio)
-    rotations = [ring.rotations(j) for j in range(ell)]
+        sector, rotation = "zeta_%d", "a_(%d)"
     rows = [
         (labels[0], [sector % j for j in range(ell)]),
-        (labels[1], [_locus(ring, j, locus) for j in range(ell)]),
+        (labels[1], _once(_gcd_column(ell), lambda g: _locus(ring, g, locus))),
     ]
-    for b, p, (k, *_) in ring.classes:
-        rows.append((rotation % b, [cell(r[k], ell, latex) for r in rotations]))
-    rows.append((labels[2], [cell(2 * sum(r), ell, latex) for r in rotations]))
-    rows.append((labels[3], [generator % j for j in range(ell)]))
-    rows.append((labels[4], [_euler_label(*ring._annihilator(j), latex) for j in range(ell)]))
+    for (b, _, _), column in zip(ring.classes, ring.numerator_columns()):
+        rows.append((rotation % b, _ratios(column, ell, latex)))
+    rows.append((labels[2], _ratios(ring.shift_column(), ell, latex)))
+    rows.append((labels[3], ring.generator_names(latex)))
+    rows.append((labels[4], _once(ring.euler_column(), lambda cd: _euler_label(*cd, latex))))
     return rows
 
 
@@ -428,21 +515,19 @@ def _cmd_chenruan(args) -> dict:
     # the product relations are the multiplication table; the presentation
     # refuses too many products before --max-degree is read
     pres = ring.presentation() if sections & {"presentation", "multtable"} else None
+    products = pres and _Products(pres.product_relations)
     max_degree = _max_degree(args, ring.weights.n)
 
     doc = {"weights": ring.weights, "ell": ring.ell}
     if "sectors" in sections:
         doc["sectors"] = ring.sectors
     if "presentation" in sections:
-        doc["generators"] = [
-            {"name": name, "degree": _ratio(units, ring.ell)}
-            for name, units in pres.generator_units
-        ]
-        doc["relations"] = {"J": pres.kernel_relations, "I": pres.product_relations}
+        doc["generators"] = pres.generator_units
+        doc["relations"] = {"J": pres.kernel_relations, "I": products}
         if args.format != "latex":
             doc["graded"] = _Graded(max_degree, ring.graded_dimensions(max_degree))
     if "multtable" in sections:
-        doc["mult_table"] = pres.product_relations
+        doc["mult_table"] = products
     return doc
 
 
@@ -452,27 +537,29 @@ def _chenruan_text(doc) -> str:
         blocks.append(f"sector data for weights {doc['weights']} (ell = {doc['ell']})")
         blocks.append(_table([[label] + cells for label, cells in _sector_rows(doc)]))
     if "generators" in doc:
-        names = [g["name"] for g in doc["generators"]]
+        generators = doc["generators"]
+        names = generators.names()
         variables = ", ".join(names) if len(names) <= 2 else f"u, a1..{names[-1]}"
         relations = doc["relations"]
         lines = [f"presentation: Z[{variables}] modulo"]
-        lines.append("  kernel relations: " + ", ".join(map(str, relations["J"])))
-        if relations["I"]:
+        lines.append("  kernel relations: " + ", ".join(relations["J"].render()))
+        if relations["I"].relations:
             lines.append("  product relations:")
-            lines.extend(f"    {rel}" for rel in relations["I"])
+            lines.extend(f"    {line}" for line in relations["I"].lines())
         lines.append("generator degrees:")
-        lines.extend(f"  {g['name']}: degree {g['degree']}" for g in doc["generators"])
+        degrees = _ratios(generators.units(), doc["ell"])
+        lines.extend(f"  {name}: degree {degree}" for name, degree in zip(names, degrees))
         blocks.append("\n".join(lines + _listing(doc["graded"])))
     if "mult_table" in doc:
         lines = ["multiplication table (nonzero twisted generators):"]
-        blocks.append("\n".join(lines + [f"  {rel}" for rel in doc["mult_table"]]))
+        blocks.append("\n".join(lines + [f"  {line}" for line in doc["mult_table"].lines()]))
     return _join(blocks)
 
 
-def _products_latex(relations, op: str) -> str:
+def _products_latex(products: _Products, op: str) -> str:
     return "\n".join(
-        r"\alpha_{%d}%s\alpha_{%d} = %s \\" % (rel.i, op, rel.j, rel.render(latex=True))
-        for rel in relations
+        r"\alpha_{%d}%s\alpha_{%d} = %s \\" % (rel.i, op, rel.j, text)
+        for rel, text in zip(products.relations, products.texts(latex=True))
     )
 
 
@@ -481,10 +568,8 @@ def _chenruan_latex(doc) -> str:
     if "sectors" in doc:
         blocks.append(_sector_table_latex(doc))
     if "generators" in doc:
-        gens = ", ".join(
-            "u" if g["name"] == "u" else r"\alpha_{%s}" % g["name"][1:] for g in doc["generators"]
-        )
-        rels = ", ".join(rel.render(latex=True) for rel in doc["relations"]["J"])
+        gens = ", ".join(doc["generators"].names(latex=True))
+        rels = ", ".join(doc["relations"]["J"].render(latex=True))
         blocks.append(r"\mathbb{Z}[%s]/(\mathcal{I} + \langle %s \rangle)" % (gens, rels))
         blocks.append(_products_latex(doc["relations"]["I"], ""))
     if "mult_table" in doc:

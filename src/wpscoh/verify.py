@@ -35,8 +35,9 @@ one exhaustive pass:
 - The rotation-number checks (periodicity, complements, the excess, and
   the lemma's second part) walk, for each row (b, p, coordinates) of the
   ring's weight-class table, the residues mod p = ell / b on the ring's
-  integer numerators: a weight-b coordinate's numerator b * j mod ell
-  depends on j mod p only.
+  integer numerators, read through ``CrRing._numerators``, the reader
+  that the sector chart prints from: a weight-b coordinate's numerator
+  b * j mod ell depends on j mod p only.
 - ``pair_scan`` walks the ordered pairs of nonzero sectors once, on
   integer structure constants, and decides three claims there: the
   ideal, commutativity and grading.
@@ -197,23 +198,25 @@ def run_checks(weights):
     )
 
     # One walk per weight class (b, p, coordinates) over the residues
-    # x mod p = ell / b, on the numerators of the class's first
-    # coordinate.  The weight-b numerator b * j mod ell depends on j mod p
-    # only and is b * x on the residues (checked here).  So the excess at
-    # sectors (i, j) is a function of x + y for their residues x, y, and
-    # one residue pair per sum covers all ell^2 pairs; the sum p is the
-    # pair (x, p - x), x != 0, of the lemma's second part.
+    # x mod p = ell / b, on the class's numerators as the sector chart
+    # reads them (``CrRing._numerators``).  The weight-b numerator
+    # b * j mod ell depends on j mod p only and is b * x on the residues
+    # (checked here).  So the excess at sectors (i, j) is a function of
+    # x + y for their residues x, y, and one residue pair per sum covers
+    # all ell^2 pairs; the sum p is the pair (x, p - x), x != 0, of the
+    # lemma's second part.
     periodic = excess_ok = complements = True
-    for b, p, (k, *_) in cr.classes:
-        nums = [cr.rotations(x)[k] for x in range(p)]
+    for b, p, _ in cr.classes:
+        nums = cr._numerators(b, range(p))
         excess_ok = excess_ok and nums == [b * x for x in range(p)]
-        periodic = periodic and all(
-            cr.rotations(x + p)[k] == nums[x] and nums[x] + cr.rotations(ell - x)[k] in (0, ell)
-            for x in range(p)
+        # the numerators at x + p and at ell - x, for each residue x
+        periodic = periodic and nums == cr._numerators(b, range(p, 2 * p)) and all(
+            t + s in (0, ell) for t, s in zip(nums, cr._numerators(b, range(ell, ell - p, -1)))
         )
-        for total in range(2 * p - 1):
+        # the numerators at the sums 0 .. 2p - 2, mod ell
+        tails = cr._numerators(b, (total % ell for total in range(p, 2 * p - 1)))
+        for total, target in enumerate(itertools.chain(nums, tails)):
             x = min(total, p - 1)
-            target = nums[total] if total < p else cr.rotations(total % ell)[k]
             excess = nums[x] + nums[total - x] - target
             excess_ok = excess_ok and excess in (0, ell)
             complements = complements and (total != p or excess == ell)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpscoh import chenruan, cli
-from wpscoh.chenruan import CrRing
+from wpscoh.chenruan import CrRing, KernelRelation, ProductRelation
 from wpscoh.cli import main
 from wpscoh.kawasaki import KawasakiRing
 from wpscoh.kunneth import ProductGroups
@@ -239,6 +239,17 @@ def test_sparse_queries_work_on_huge_ell(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["13u^3a1530098", "degree: 176/19"]
+
+
+def test_sparse_queries_build_no_column_of_all_sectors(capsys, monkeypatch):
+    def refuse(ring, *args):
+        raise AssertionError(f"a column of all {ring.ell} sectors")
+
+    monkeypatch.setattr(CrRing, "_dense_columns", refuse)
+    monkeypatch.setattr(CrRing, "generator_names", refuse)
+    assert run_cli(capsys, "chenruan", "--weights", HUGE, "--multtable")[0] == 0
+    argv = ("eval", "--weights", HUGE, "--ring", "chenruan", "a1*a1 + a765049*u")
+    assert run_cli(capsys, *argv)[0] == 0
 
 
 def test_dense_limit_boundary(capsys, monkeypatch):
@@ -764,6 +775,40 @@ def test_presentation_and_mult_table_are_built_at_most_once(capsys, monkeypatch,
     shown = set(sections) or {"--sectors", "--presentation"}
     assert calls["presentation"] == bool(shown & {"--presentation", "--multtable"})
     assert calls["mult_table"] == 0
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_each_product_relation_renders_once(capsys, monkeypatch, fmt):
+    """--presentation and --multtable show one holder of the product
+    relations, and each relation renders its monomial once per call."""
+    relations = CrRing((4, 9, 14)).presentation().product_relations
+    assert len(relations) > 10
+    calls = Counter()
+    _count_calls(monkeypatch, ProductRelation, "render", calls)
+    argv = ("chenruan", "--weights", "4,9,14", "--presentation", "--multtable", "--format", fmt)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls["render"] == len(relations)
+    if fmt == "text":
+        for rel in relations:
+            assert out.count(f" {rel}\n") == 2
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("sections", SECTION_SETS, ids=lambda s: "+".join(s) or "default")
+def test_chenruan_builds_nothing_per_sector(capsys, monkeypatch, fmt, sections):
+    """The chart and the presentation are written from the ring's
+    columns: no KernelRelation, no rotations(j) tuple and no per-sector
+    shift; the graded sweep reads the shifts of the nonzero sectors."""
+    calls = Counter()
+    for owner, name in ((KernelRelation, "__init__"), (CrRing, "rotations"),
+                        (CrRing, "_shift_units"), (CrRing, "_record")):
+        _count_calls(monkeypatch, owner, name, calls)
+    code, _, _ = run_cli(capsys, "chenruan", "--weights", "7,8,15", "--format", fmt, *sections)
+    assert code == 0
+    assert calls["__init__"] == calls["_record"] == 0
+    # one shift, so one rotations tuple, per nonzero sector, in the sweep
+    assert calls["rotations"] == calls["_shift_units"] <= len(CrRing((7, 8, 15)).nonzero)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

@@ -3,9 +3,13 @@
 ``cli.main`` used to copy each document into JSON types with a
 recursive ``_json_value`` and then call ``json.dumps(indent=2,
 sort_keys=True)``, which runs CPython's pure-Python encoder.  That path
-is kept here, verbatim, as the oracle: ``cli._dump_json`` must write the
-same bytes on every ``--format json`` argv of the golden tables, on
-arbitrary nested JSON values, and must raise ``TypeError`` where it did.
+is kept here as the oracle: ``cli._dump_json`` must write the same bytes
+on every ``--format json`` argv of the golden tables, on arbitrary
+nested JSON values, and must raise ``TypeError`` where it did.  The
+oracle converts the column values of a presentation along their
+definitional path: the generator column through the (name, units)
+pairs it yields, the kernel column through one ``KernelRelation`` per
+sector, and the product-relation holder relation by relation.
 The JSON and text views of a graded listing render each distinct group
 once; counting tests pin that.
 """
@@ -24,8 +28,16 @@ from wpscoh import cli
 from wpscoh.abelian import FgAbGroup, GradedGroups
 from wpscoh.algebra import Element
 from wpscoh.arith import WeightVector
-from wpscoh.chenruan import CrRing, KernelRelation, ProductRelation, SectorData, _Sectors
-from wpscoh.cli import _Graded
+from wpscoh.chenruan import (
+    CrRing,
+    GeneratorUnits,
+    KernelRelation,
+    KernelRelations,
+    ProductRelation,
+    SectorData,
+    _Sectors,
+)
+from wpscoh.cli import _Graded, _Products
 from wpscoh.verify import CheckResult
 
 
@@ -36,9 +48,15 @@ def _json_value(x):
         return x
     if isinstance(x, dict):
         return {key: _json_value(value) for key, value in x.items()}
-    if isinstance(x, (list, tuple, _Sectors)):
-        # a ring's sector view as the list of its records
+    if isinstance(x, (list, tuple, _Sectors, KernelRelations)):
+        # a ring's sector view as the list of its records, and the kernel
+        # column as the list of its relations, one per sector
         return [_json_value(value) for value in x]
+    if isinstance(x, GeneratorUnits):
+        # the generator column as the (name, units) pairs it holds
+        return [{"name": name, "degree": str(Fraction(units, x.ring.ell))} for name, units in x]
+    if isinstance(x, _Products):
+        return [_json_value(rel) for rel in x.relations]
     if isinstance(x, (Fraction, Element, KernelRelation)):
         return str(x)
     if isinstance(x, GradedGroups):

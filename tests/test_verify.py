@@ -135,21 +135,26 @@ def test_run_checks_draws_no_random_numbers(monkeypatch):
 
 
 def test_residue_walks_read_the_rotation_numbers(monkeypatch):
-    rotations = CrRing.rotations
+    """The walks read the numerators through ``CrRing._numerators``, the
+    reader that the sector chart prints from."""
+    numerators = CrRing._numerators
 
-    def off_by_one(ring, j):
-        nums = rotations(ring, j)
-        return (nums[0] + 1,) + nums[1:] if j == 1 else nums
+    def off_by_one(ring, b, js):
+        js = list(js)
+        nums = numerators(ring, b, js)
+        if b != ring.classes[0][0]:
+            return nums
+        return [t + (j == 1) for j, t in zip(js, nums)]
 
-    monkeypatch.setattr(CrRing, "rotations", off_by_one)
+    monkeypatch.setattr(CrRing, "_numerators", off_by_one)
     results = {r.name: r for r in run_checks((2, 3, 5))}
     assert not results["sectors: rotation-number excess lies in {0,1}"].passed
     monkeypatch.undo()
 
-    def unreduced(ring, j):
-        return tuple(bk * j for bk in ring.weights.b)
+    def unreduced(ring, b, js):
+        return [b * j for j in js]
 
-    monkeypatch.setattr(CrRing, "rotations", unreduced)
+    monkeypatch.setattr(CrRing, "_numerators", unreduced)
     results = {r.name: r for r in run_checks((2, 3, 5))}
     assert not results["rotation numbers: periodic and complement-integral"].passed
 
