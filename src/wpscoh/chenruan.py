@@ -13,18 +13,20 @@ a sector.
 
 Output of all ell sectors (the sector chart, the presentation's
 generators and kernel relations) reads columns of the ring, built once
-per ring on first use: per weight class the numerators b j mod ell
-(``CrRing.numerator_columns``, through the one reader
-``CrRing._numerators`` that the residue walks of ``verify`` read too),
-the shift units (``CrRing.shift_column``), the Euler data
-(``CrRing.euler_column``) and the generator names.  Each column has ell
-entries, so only dense output reads them; the per-sector readers
-(``rotations``, ``_shift_units``, ``_annihilator``) serve sparse
-callers and stay as the columns' test oracle.  ``CrPresentation``
-holds its generators and kernel relations as the views
-``GeneratorUnits`` and ``KernelRelations`` over those columns, and forms
-each product relation straight from the structure constants and the
-Euler class of the target sector.
+per ring on first use and kept as tuples: per weight class the
+numerators b j mod ell (``CrRing.numerator_columns``), the shift units
+(``CrRing.shift_column``), the Euler data (``CrRing.euler_column``) and
+the generator names.  The numerators of the columns, of ``rotations``
+and of the residue walks of ``verify`` all come from one reader,
+``CrRing._numerators``.  Each column has ell entries, so only dense
+output reads them; the per-sector readers (``rotations``,
+``_shift_units``, ``_annihilator``) serve sparse callers and stay as
+the columns' test oracle.  ``CrPresentation`` holds its generators and
+kernel relations as the views ``GeneratorUnits`` and
+``KernelRelations``: output reads their columns, and an item, by index
+or in iteration, is built from the per-sector readers.  The
+presentation forms each product relation straight from the structure
+constants and the Euler class of the target sector.
 
 The ring is generated over Z by a degree-2 class u and one placeholder
 generator per sector.  Generator products twist into the sector [i+j]
@@ -86,7 +88,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .abelian import FgAbGroup
 from .algebra import Algebra, Element, monomial, u_power
@@ -214,22 +216,22 @@ class CrRing(Algebra):
     def rotations(self, j: int) -> tuple[int, ...]:
         """Numerators of the rotation numbers of sector j over the common
         denominator ell: (b_k * j) mod ell for each coordinate k."""
-        ell = self.ell
-        return tuple([bk * j % ell for bk in self.weights.b])
+        return tuple(self._numerators(self.weights.b, (j,)))
 
-    def _numerators(self, b: int, js) -> list[int]:
-        """The weight-b rotation numerators b * j mod ell at the sectors
-        js.  The numerator columns and the residue walks of ``verify``
-        read the numerators through it."""
+    def _numerators(self, bs, js) -> list[int]:
+        """The rotation numerators b * j mod ell for each weight b of bs
+        and each sector j of js, weight by weight.  Every reader of the
+        numerators goes through it: ``rotations``, the numerator columns
+        and the residue walks of ``verify``."""
         ell = self.ell
-        return [b * j % ell for j in js]
+        return [b * j % ell for b in bs for j in js]
 
     def _dense_columns(self) -> tuple:
         """The numerator, shift and Euler columns, built on first use and
-        kept for the life of the ring."""
+        kept for the life of the ring as tuples, which no reader can edit."""
         if self._columns is None:
             ell, sectors = self.ell, range(self.ell)
-            numerators = tuple([self._numerators(b, sectors) for b, _, _ in self.classes])
+            numerators = [self._numerators((b,), sectors) for b, _, _ in self.classes]
             shifts = [0] * ell
             for (_, _, coords), column in zip(self.classes, numerators):
                 twice_m = 2 * len(coords)
@@ -237,22 +239,22 @@ class CrRing(Algebra):
             euler = [(1, 0)] * ell
             for j, cd in self._euler.items():
                 euler[j] = cd
-            self._columns = numerators, shifts, euler
+            self._columns = tuple(map(tuple, numerators)), tuple(shifts), tuple(euler)
         return self._columns
 
-    def numerator_columns(self) -> tuple[list[int], ...]:
+    def numerator_columns(self) -> tuple[tuple[int, ...], ...]:
         """Per row (b, p, coordinates) of ``classes``, the numerators
         b * j mod ell of all ell sectors.  For dense output only: each
         column has ell entries."""
         return self._dense_columns()[0]
 
-    def shift_column(self) -> list[int]:
+    def shift_column(self) -> tuple[int, ...]:
         """The shift units s_j of all ell sectors: 2 * the sum over the
         rows of ``classes`` of m times the row's numerator, for the m
         coordinates of the row.  For dense output only."""
         return self._dense_columns()[1]
 
-    def euler_column(self) -> list[tuple[int, int]]:
+    def euler_column(self) -> tuple[tuple[int, int], ...]:
         """(c_j, d_j) of all ell sectors, read off the Euler data once.
         For dense output only."""
         return self._dense_columns()[2]
@@ -514,8 +516,9 @@ class _SectorView(Sequence):
     """One item per sector of ``ring``, as a read-only sequence; each
     item is built on access by ``_item(j)`` from the per-sector readers.
 
-    An index may be negative, and a slice gives a list of items.  Output
-    reads the ring's columns and builds no item.
+    An index may be negative, and a slice gives a list of items.  A view
+    compares and hashes as the tuple of its items would.  Output reads
+    the ring's columns and builds no item.
     """
 
     __slots__ = ("ring",)
@@ -533,6 +536,17 @@ class _SectorView(Sequence):
         if not -ell <= index < ell:
             raise IndexError(f"sector index {index} out of range 0..{ell - 1}")
         return self._item(index % ell)
+
+    def __eq__(self, other):
+        if isinstance(other, _SectorView):
+            if type(other) is type(self) and other.ring is self.ring:
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 class _Sectors(_SectorView):
@@ -604,8 +618,8 @@ class ProductRelation:
 class GeneratorUnits(_SectorView):
     """The generators of a presentation: u, then a_j for every twisted
     sector j, each as (name, degree in units of 1/ell), with 2 ell for u
-    and the shift units s_j for a_j.  Iteration reads the ring's columns.
-    """
+    and the shift units s_j for a_j.  ``names`` and ``units`` read the
+    ring's columns."""
 
     __slots__ = ()
 
@@ -614,9 +628,6 @@ class GeneratorUnits(_SectorView):
         if j == 0:
             return "u", 2 * ring.ell
         return ring._variable(j, 0, False), ring._shift_units(j)
-
-    def __iter__(self):
-        return zip(self.names(), self.units())
 
     def names(self, latex: bool = False) -> list[str]:
         """u, a1, ..., a_{ell-1}."""
@@ -631,17 +642,13 @@ class GeneratorUnits(_SectorView):
 
 class KernelRelations(_SectorView):
     """The kernel relations c_j u^{d_j} a_j = 0 of all ell sectors, in
-    sector order, as ``KernelRelation`` records.  Iteration reads the
-    ring's Euler column."""
+    sector order, as ``KernelRelation`` records.  ``render`` reads the
+    ring's Euler data."""
 
     __slots__ = ()
 
     def _item(self, j: int) -> KernelRelation:
         return KernelRelation(j, *self.ring._annihilator(j), self.ring)
-
-    def __iter__(self):
-        ring = self.ring
-        return (KernelRelation(j, c, d, ring) for j, (c, d) in enumerate(ring.euler_column()))
 
     def render(self, latex: bool = False) -> list[str]:
         """Each relation's monomial, as ``KernelRelation.render`` writes

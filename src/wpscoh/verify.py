@@ -36,7 +36,8 @@ one exhaustive pass:
   the lemma's second part) walk, for each row (b, p, coordinates) of the
   ring's weight-class table, the residues mod p = ell / b on the ring's
   integer numerators, read through ``CrRing._numerators``, the reader
-  that the sector chart prints from: a weight-b coordinate's numerator
+  behind ``rotations`` and the sector chart, so behind every numerator,
+  shift and degree that is printed: a weight-b coordinate's numerator
   b * j mod ell depends on j mod p only.
 - ``pair_scan`` walks the ordered pairs of nonzero sectors once, on
   integer structure constants, and decides three claims there: the
@@ -207,14 +208,14 @@ def run_checks(weights):
     # lemma's second part.
     periodic = excess_ok = complements = True
     for b, p, _ in cr.classes:
-        nums = cr._numerators(b, range(p))
+        nums = cr._numerators((b,), range(p))
         excess_ok = excess_ok and nums == [b * x for x in range(p)]
         # the numerators at x + p and at ell - x, for each residue x
-        periodic = periodic and nums == cr._numerators(b, range(p, 2 * p)) and all(
-            t + s in (0, ell) for t, s in zip(nums, cr._numerators(b, range(ell, ell - p, -1)))
+        periodic = periodic and nums == cr._numerators((b,), range(p, 2 * p)) and all(
+            t + s in (0, ell) for t, s in zip(nums, cr._numerators((b,), range(ell, ell - p, -1)))
         )
         # the numerators at the sums 0 .. 2p - 2, mod ell
-        tails = cr._numerators(b, (total % ell for total in range(p, 2 * p - 1)))
+        tails = cr._numerators((b,), (total % ell for total in range(p, 2 * p - 1)))
         for total, target in enumerate(itertools.chain(nums, tails)):
             x = min(total, p - 1)
             excess = nums[x] + nums[total - x] - target

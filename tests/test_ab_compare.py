@@ -35,3 +35,16 @@ def test_a_changed_output_fails(tmp_path):
     proc = run_tool(ROOT, tmp_path, "--workload", "cli_small")
     assert proc.returncode == 1
     assert proc.stdout.startswith("cli_small: the two sides differ on eval ")
+
+
+def test_a_crash_on_one_side_is_a_difference(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "wpscoh" / "cli.py"
+    cli.write_text(cli.read_text() + (
+        "\n\n_main = main\n\n\ndef main(argv=None):\n"
+        "    if argv and argv[0] == 'eval':\n        raise RuntimeError('broken')\n"
+        "    return _main(argv)\n"
+    ))
+    proc = run_tool(ROOT, tmp_path, "--workload", "cli_small")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("cli_small: the two sides differ on eval ")

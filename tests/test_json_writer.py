@@ -8,8 +8,10 @@ on every ``--format json`` argv of the golden tables, on arbitrary
 nested JSON values, and must raise ``TypeError`` where it did.  The
 oracle converts the column values of a presentation along their
 definitional path: the generator column through the (name, units)
-pairs it yields, the kernel column through one ``KernelRelation`` per
-sector, and the product-relation holder relation by relation.
+pair of each sector, the kernel column through one ``KernelRelation``
+per sector, both built by the views' per-sector item reader from
+``_shift_units`` and ``_annihilator`` (no column), and the
+product-relation holder relation by relation.
 The JSON and text views of a graded listing render each distinct group
 once; counting tests pin that.
 """
@@ -53,7 +55,7 @@ def _json_value(x):
         # column as the list of its relations, one per sector
         return [_json_value(value) for value in x]
     if isinstance(x, GeneratorUnits):
-        # the generator column as the (name, units) pairs it holds
+        # the generator column as its per-sector (name, units) items
         return [{"name": name, "degree": str(Fraction(units, x.ring.ell))} for name, units in x]
     if isinstance(x, _Products):
         return [_json_value(rel) for rel in x.relations]

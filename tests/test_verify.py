@@ -136,23 +136,22 @@ def test_run_checks_draws_no_random_numbers(monkeypatch):
 
 def test_residue_walks_read_the_rotation_numbers(monkeypatch):
     """The walks read the numerators through ``CrRing._numerators``, the
-    reader that the sector chart prints from."""
+    reader that the sector chart and ``rotations`` read."""
     numerators = CrRing._numerators
 
-    def off_by_one(ring, b, js):
+    def off_by_one(ring, bs, js):
         js = list(js)
-        nums = numerators(ring, b, js)
-        if b != ring.classes[0][0]:
-            return nums
-        return [t + (j == 1) for j, t in zip(js, nums)]
+        first = ring.classes[0][0]
+        pairs = [(b, j) for b in bs for j in js]
+        return [t + (b == first and j == 1) for (b, j), t in zip(pairs, numerators(ring, bs, js))]
 
     monkeypatch.setattr(CrRing, "_numerators", off_by_one)
     results = {r.name: r for r in run_checks((2, 3, 5))}
     assert not results["sectors: rotation-number excess lies in {0,1}"].passed
     monkeypatch.undo()
 
-    def unreduced(ring, b, js):
-        return [b * j for j in js]
+    def unreduced(ring, bs, js):
+        return [b * j for b in bs for j in js]
 
     monkeypatch.setattr(CrRing, "_numerators", unreduced)
     results = {r.name: r for r in run_checks((2, 3, 5))}

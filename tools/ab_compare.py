@@ -7,7 +7,10 @@ BASE and CHANGE are checkouts of this repository (a directory holding
 ``src/wpscoh``).  Each tree's package is imported under its own name,
 ``wpscoh_base`` and ``wpscoh_change``, so both live in one interpreter.
 The operation corpora come from ``perfbench/workloads.py`` of the
-checkout that holds this script, imported without writing bytecode.
+checkout that holds this script, and each call is timed by that
+checkout's ``perfbench/run.py`` (its ``run_op``, which also turns an
+unexpected exception into an exit code that names it); both modules are
+imported without writing bytecode.
 
 Every operation of a workload's corpus runs on both sides back to back,
 and the side that goes first alternates from one operation to the next
@@ -28,13 +31,10 @@ comparison of two separate runs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib.util
-import io
 import math
 import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,58 +55,47 @@ def load_cli(tree: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def load_workloads():
-    """``perfbench/workloads.py`` of this checkout, without writing bytecode."""
-    spec = importlib.util.spec_from_file_location(
-        "ab_compare_workloads", ROOT / "perfbench" / "workloads.py"
-    )
+def load_bench():
+    """``perfbench/run.py`` of this checkout, with the ``workloads``
+    module it imports, without writing bytecode or keeping its
+    directory on ``sys.path``."""
+    spec = importlib.util.spec_from_file_location("ab_compare_bench", ROOT / "perfbench" / "run.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look the module up by name
-    written = sys.dont_write_bytecode
+    path, written = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, str(ROOT / "perfbench"))
     sys.dont_write_bytecode = True
     try:
         spec.loader.exec_module(module)
     finally:
-        sys.dont_write_bytecode = written
+        sys.path[:], sys.dont_write_bytecode = path, written
     return module
 
 
-def run_op(cli, argv):
-    """One timed call: (seconds, (exit code, stdout, stderr))."""
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return time.perf_counter() - start, (code, out.getvalue(), err.getvalue())
-
-
-def compare(clis, ops, passes):
+def compare(bench, clis, ops, passes):
     """Per side, each op's latencies over the timed passes; None and the
     first argv whose results differ, if any."""
     samples = {side: [[] for _ in ops] for side in SIDES}
     for n in range(passes + 1):
-        for i, argv in enumerate(ops):
+        for i, op in enumerate(ops):
             order = SIDES if (i + n) % 2 == 0 else SIDES[::-1]
             results = {}
             for side in order:
-                seconds, results[side] = run_op(clis[side], argv)
+                seconds, *results[side] = bench.run_op(clis[side], op)
                 if n:  # the first pass is untimed
                     samples[side][i].append(seconds)
             if results["base"] != results["change"]:
-                return None, argv
+                return None, op.argv
     return samples, None
 
 
-def figures(latencies):
-    """ops_per_s, latency_p50_ms and latency_p90_ms of per-op mean latencies."""
-    p90 = statistics.quantiles(latencies, n=10)[8] if len(latencies) > 1 else latencies[0]
+def figures(bench, latencies):
+    """ops_per_s, latency_p50_ms and latency_p90_ms of per-op mean
+    latencies, as ``perfbench/run.py`` computes them."""
     return {
         "ops_per_s": len(latencies) / math.fsum(latencies),
         "latency_p50_ms": statistics.median(latencies) * 1000,
-        "latency_p90_ms": p90 * 1000,
+        "latency_p90_ms": bench._p90(latencies) * 1000,
     }
 
 
@@ -117,9 +106,9 @@ def quartiles(values):
     return low, median, high
 
 
-def report(workload, samples) -> list[str]:
+def report(bench, workload, samples) -> list[str]:
     means = {side: [statistics.fmean(s) for s in samples[side]] for side in SIDES}
-    stats = {side: figures(means[side]) for side in SIDES}
+    stats = {side: figures(bench, means[side]) for side in SIDES}
     lines = [f"{workload}: {len(means['base'])} ops, outputs byte-identical"]
     for side in SIDES:
         lines.append(f"  {side:7}" + "".join(
@@ -135,7 +124,8 @@ def report(workload, samples) -> list[str]:
 
 
 def main(argv=None) -> int:
-    workloads = load_workloads()
+    bench = load_bench()
+    workloads = bench.workloads
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
@@ -152,12 +142,12 @@ def main(argv=None) -> int:
             for side, tree in zip(SIDES, (args.base, args.change))}
     for workload in args.workload or workloads.WORKLOADS:
         corpus = workloads.make_corpus(workload, args.seed, args.smoke)
-        ops = [op.argv for rnd in corpus for op in rnd.ops]
-        samples, differs = compare(clis, ops, args.passes)
+        ops = [op for rnd in corpus for op in rnd.ops]
+        samples, differs = compare(bench, clis, ops, args.passes)
         if differs is not None:
             print(f"{workload}: the two sides differ on {' '.join(differs)}")
             return 1
-        print("\n".join(report(workload, samples)), flush=True)
+        print("\n".join(report(bench, workload, samples)), flush=True)
     return 0
 
 
