@@ -12,21 +12,23 @@ per-coordinate fractions, is built only when a library caller asks for
 a sector.
 
 Output of all ell sectors (the sector chart, the presentation's
-generators and kernel relations) reads columns of the ring, built once
-per ring on first use and kept as tuples: per weight class the
-numerators b j mod ell (``CrRing.numerator_columns``), the shift units
-(``CrRing.shift_column``), the Euler data (``CrRing.euler_column``) and
-the generator names.  The numerators of the columns, of ``rotations``
-and of the residue walks of ``verify`` all come from one reader,
-``CrRing._numerators``.  Each column has ell entries, so only dense
-output reads them; the per-sector readers (``rotations``,
-``_shift_units``, ``_annihilator``) serve sparse callers and stay as
-the columns' test oracle.  ``CrPresentation`` holds its generators and
-kernel relations as the views ``GeneratorUnits`` and
-``KernelRelations``: output reads their columns, and an item, by index
-or in iteration, is built from the per-sector readers.  The
-presentation forms each product relation straight from the structure
-constants and the Euler class of the target sector.
+generators and kernel relations) reads the two indices the maths has.
+A weight class's rotation numerators are its numerators on the residues
+mod p, ``CrRing._numerators((b,), range(p))``, repeated b times; the
+Euler data is (1, 0) except at ``CrRing.nonzero``, read there through
+``CrRing._annihilator``.  The one column of all ell sectors the ring
+keeps is the shift units (``CrRing.shift_column``), summed from the same
+residue lists once per ring, beside the generator names.  The
+numerators of the chart, of ``rotations`` and of the residue checks of
+``verify`` all come from ``CrRing._numerators``.  The per-sector readers
+(``rotations``, ``_shift_units``, ``_annihilator``) serve sparse callers
+and stay as the test oracle of dense output.  ``CrPresentation`` holds
+its generators and kernel relations as the views ``GeneratorUnits`` and
+``KernelRelations``: output reads the shift column, the names and the
+nonzero sectors, and an item, by index or in iteration, is built from
+the per-sector readers.  The presentation forms each product relation
+straight from the structure constants and the Euler class of the target
+sector.
 
 The ring is generated over Z by a degree-2 class u and one placeholder
 generator per sector.  Generator products twist into the sector [i+j]
@@ -88,7 +90,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 
 from .abelian import FgAbGroup
 from .algebra import Algebra, Element, monomial, u_power
@@ -187,7 +189,7 @@ class CrRing(Algebra):
     0
     """
 
-    __slots__ = ("ell", "classes", "nonzero", "_euler", "_columns")
+    __slots__ = ("ell", "classes", "nonzero", "_euler", "_shifts")
     _element_class = CrElement
 
     def __init__(self, weights):
@@ -202,7 +204,7 @@ class CrRing(Algebra):
         # Euler class (c_j, d_j) of each nonzero sector; zero sectors have (1, 0)
         self.classes, self._euler = _sector_table(w)
         self.nonzero = tuple(sorted(self._euler))
-        self._columns = None  # the dense columns, built on first use
+        self._shifts = None  # the shift column, built on first use
 
     @property
     def sectors(self) -> "_Sectors":
@@ -221,43 +223,25 @@ class CrRing(Algebra):
     def _numerators(self, bs, js) -> list[int]:
         """The rotation numerators b * j mod ell for each weight b of bs
         and each sector j of js, weight by weight.  Every reader of the
-        numerators goes through it: ``rotations``, the numerator columns
-        and the residue walks of ``verify``."""
+        numerators goes through it: ``rotations``, the shift column, the
+        sector chart and the residue checks of ``verify``."""
         ell = self.ell
         return [b * j % ell for b in bs for j in js]
 
-    def _dense_columns(self) -> tuple:
-        """The numerator, shift and Euler columns, built on first use and
-        kept for the life of the ring as tuples, which no reader can edit."""
-        if self._columns is None:
-            ell, sectors = self.ell, range(self.ell)
-            numerators = [self._numerators((b,), sectors) for b, _, _ in self.classes]
-            shifts = [0] * ell
-            for (_, _, coords), column in zip(self.classes, numerators):
-                twice_m = 2 * len(coords)
-                shifts = [s + twice_m * t for s, t in zip(shifts, column)]
-            euler = [(1, 0)] * ell
-            for j, cd in self._euler.items():
-                euler[j] = cd
-            self._columns = tuple(map(tuple, numerators)), tuple(shifts), tuple(euler)
-        return self._columns
-
-    def numerator_columns(self) -> tuple[tuple[int, ...], ...]:
-        """Per row (b, p, coordinates) of ``classes``, the numerators
-        b * j mod ell of all ell sectors.  For dense output only: each
-        column has ell entries."""
-        return self._dense_columns()[0]
-
     def shift_column(self) -> tuple[int, ...]:
-        """The shift units s_j of all ell sectors: 2 * the sum over the
-        rows of ``classes`` of m times the row's numerator, for the m
-        coordinates of the row.  For dense output only."""
-        return self._dense_columns()[1]
-
-    def euler_column(self) -> tuple[tuple[int, int], ...]:
-        """(c_j, d_j) of all ell sectors, read off the Euler data once.
-        For dense output only."""
-        return self._dense_columns()[2]
+        """The shift units s_j of all ell sectors, built on first use and
+        kept for the life of the ring as a tuple.  Per row (b, p,
+        coordinates) of ``classes``, its m coordinates add 2 m times the
+        row's numerators on the residues mod p, repeated b times.  For
+        dense output only."""
+        if self._shifts is None:
+            shifts = [0] * self.ell
+            for b, p, coords in self.classes:
+                twice_m = 2 * len(coords)
+                column = [twice_m * t for t in self._numerators((b,), range(p))] * b
+                shifts = list(map(add, shifts, column))
+            self._shifts = tuple(shifts)
+        return self._shifts
 
     def sector(self, j: int) -> SectorData:
         self._check_basis(j)
@@ -277,7 +261,8 @@ class CrRing(Algebra):
 
     def _annihilator(self, j: int) -> tuple[int, int]:
         """``euler`` without the range check, for sectors already in
-        range; every reader of the Euler class goes through it."""
+        range; every reader of the Euler class goes through it, the
+        sector chart and the kernel relations included."""
         return self._euler.get(j, (1, 0))
 
     def twisted_generator_indices(self) -> tuple[int, ...]:
@@ -517,8 +502,8 @@ class _SectorView(Sequence):
     item is built on access by ``_item(j)`` from the per-sector readers.
 
     An index may be negative, and a slice gives a list of items.  A view
-    compares and hashes as the tuple of its items would.  Output reads
-    the ring's columns and builds no item.
+    compares and hashes as the tuple of its items would.  Output builds
+    no item.
     """
 
     __slots__ = ("ring",)
@@ -556,9 +541,6 @@ class _Sectors(_SectorView):
 
     def _item(self, j: int) -> SectorData:
         return self.ring._record(j)
-
-    def __iter__(self):
-        return map(self.ring._record, range(self.ring.ell))
 
 
 # The relations are not frozen: a frozen dataclass's __init__ costs about
@@ -619,7 +601,7 @@ class GeneratorUnits(_SectorView):
     """The generators of a presentation: u, then a_j for every twisted
     sector j, each as (name, degree in units of 1/ell), with 2 ell for u
     and the shift units s_j for a_j.  ``names`` and ``units`` read the
-    ring's columns."""
+    ring's generator names and shift column."""
 
     __slots__ = ()
 
@@ -643,7 +625,7 @@ class GeneratorUnits(_SectorView):
 class KernelRelations(_SectorView):
     """The kernel relations c_j u^{d_j} a_j = 0 of all ell sectors, in
     sector order, as ``KernelRelation`` records.  ``render`` reads the
-    ring's Euler data."""
+    Euler class of the nonzero sectors only."""
 
     __slots__ = ()
 
@@ -652,11 +634,12 @@ class KernelRelations(_SectorView):
 
     def render(self, latex: bool = False) -> list[str]:
         """Each relation's monomial, as ``KernelRelation.render`` writes
-        it: the generator a_j for a zero sector (c_j = 1, d_j = 0), read
-        off the Euler data for the others."""
+        it: the generator a_j for a zero sector (c_j = 1, d_j = 0), and
+        c_j u^{d_j} a_j for each nonzero sector."""
         ring = self.ring
         texts = ring.generator_names(latex)
-        for j, (c, d) in ring._euler.items():
+        for j in ring.nonzero:
+            c, d = ring._annihilator(j)
             texts[j] = monomial(c, ring._variable(j, d, latex))
         return texts
 

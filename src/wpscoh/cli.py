@@ -17,19 +17,22 @@ that ``_WRITERS`` holds for its type; a value of any other type raises
 ``TypeError``.  A graded listing renders each distinct group once.
 
 The ell-sized parts of ``chenruan`` (the sector chart, the generator
-degrees and the kernel relations) are written from columns of the
-ring, after ``_require_dense``: the numerator, shift and Euler columns
-(``CrRing.numerator_columns``, ``shift_column``, ``euler_column``),
-built once per call, and the generator names.  The document holds the ring's ``sectors`` view and
-the presentation's ``GeneratorUnits`` and ``KernelRelations`` views, and
-no ``SectorData`` record, generator dict, ``KernelRelation`` or
-rotation tuple is built per sector.  Degree shifts are in units of
-1/ell.  Each cell that depends on the sector only through a numerator,
-a shift, the Euler data or gcd(j, ell) is formatted once per distinct
-value (``_once``), with no ``Fraction`` or element per sector.  The
-product relations sit in one ``_Products`` holder under both
-``relations.I`` and ``mult_table``, and each relation renders its
-integer monomial once per call, whatever sections are shown.
+degrees and the kernel relations) are written after ``_require_dense``
+from what the maths indexes.  A weight class's rotation cells are its
+numerators on the residues mod p = ell / b, formatted once and repeated
+b times (``_rotation_cells``).  The Euler-class cells, the fixed
+coordinates and loci and the kernel texts start from the zero-sector
+value and are overwritten only at ``CrRing.nonzero``, read through
+``CrRing._annihilator`` and ``_locus`` (``_nonzero_cells``).  The shifts
+and generator degrees read ``CrRing.shift_column``, in units of 1/ell,
+each distinct value formatted once.  The document holds the ring's
+``sectors`` view and the presentation's ``GeneratorUnits`` and
+``KernelRelations`` views, and no ``SectorData`` record, generator
+dict, ``KernelRelation``, rotation tuple, ``Fraction`` or element is
+built per sector.  The product relations sit in one ``_Products``
+holder under both ``relations.I`` and ``mult_table``, and each relation
+renders its integer monomial once per call, whatever sections are
+shown.
 
 Text and LaTeX are views of the document: one renderer per subcommand
 and format, named beside its handler in the parser, each reading only
@@ -62,7 +65,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -286,50 +288,55 @@ def _write_listing(pairs, degree_text, newline: str) -> str:
     return f"[{entry}{(',' + entry).join(texts)}{newline}]"
 
 
-def _once(column, form) -> list[str]:
-    """form(x) for each entry x of column, formatted once per distinct
-    value."""
-    texts = {x: form(x) for x in set(column)}
-    return list(map(texts.__getitem__, column))
-
-
 def _ratios(column, ell: int, latex: bool = False) -> list[str]:
     """``_ratio(x, ell, latex)`` for each entry x of column, formatted
     once per distinct value."""
-    return _once(column, lambda x: _ratio(x, ell, latex))
+    texts = {x: _ratio(x, ell, latex) for x in set(column)}
+    return list(map(texts.__getitem__, column))
 
 
-def _gcd_column(ell: int) -> list[int]:
-    """gcd(j, ell) for all ell sectors.  The coordinates that sector j
-    fixes are those of the weight classes whose p divides it, that is,
-    divides gcd(j, ell)."""
-    return list(map(math.gcd, range(ell), itertools.repeat(ell)))
+def _rotation_cells(ring: CrRing, latex: bool = False) -> dict:
+    """Per weight b of ``ring.classes``, the rotation cells of all ell
+    sectors: the numerators on the residues mod p = ell / b, each
+    formatted once, repeated b times."""
+    return {
+        b: [_ratio(t, ring.ell, latex) for t in ring._numerators((b,), range(p))] * b
+        for b, p, _ in ring.classes
+    }
+
+
+def _nonzero_cells(ring: CrRing, zero: str, form) -> list[str]:
+    """form(j) for each nonzero sector j, and the zero-sector cell zero
+    for every other sector."""
+    cells = [zero] * ring.ell
+    for j in ring.nonzero:
+        cells[j] = form(j)
+    return cells
 
 
 def _sectors_json(sectors: _Sectors, newline: str) -> str:
-    """The JSON text of the sector records of a ring, written from its
-    columns; each cell that depends on the sector only through a
-    numerator, a shift, the Euler data or gcd(j, ell) is formatted once
-    per distinct value."""
+    """The JSON text of the sector records of a ring, written from the
+    numerators on the residues, the shift column and the nonzero
+    sectors."""
     ring = sectors.ring
     ell = ring.ell
     inner = newline + "  "
     field = inner + "  "
     item = field + "  "
 
-    def euler(cd):
-        return f'{{{item}"coefficient": {cd[0]},{item}"exponent": {cd[1]}{field}}}'
+    def euler(c, d):
+        return f'{{{item}"coefficient": {c},{item}"exponent": {d}{field}}}'
 
-    def fixed(g):
-        coords = sorted(k for _, p, ks in ring.classes if not g % p for k in ks)
-        return f"[{item}{(',' + item).join(map(str, coords))}{field}]" if coords else "[]"
+    def fixed(j):
+        coords = sorted(k for _, _, ks in _locus(ring, j) for k in ks)
+        return f"[{item}{(',' + item).join(map(str, coords))}{field}]"
 
-    numerators = zip(ring.classes, ring.numerator_columns())
-    cells = {b: _ratios(column, ell) for (b, _, _), column in numerators}
+    cells = _rotation_cells(ring)
     # per sector, the cells of its coordinates, in coordinate order
     rotations = map(f'",{item}"'.join, zip(*[cells[b] for b in ring.weights.b]))
-    columns = zip(rotations, _ratios(ring.shift_column(), ell), _once(ring.euler_column(), euler),
-                  _once(_gcd_column(ell), fixed))
+    columns = zip(rotations, _ratios(ring.shift_column(), ell),
+                  _nonzero_cells(ring, euler(1, 0), lambda j: euler(*ring._annihilator(j))),
+                  _nonzero_cells(ring, "[]", fixed))
     texts = [
         f'{{{field}"a": [{item}"{a}"{field}],{field}"degree_shift": "{shift}",{field}"euler": {e},'
         f'{field}"fixed": {f},{field}"j": {j}{inner}}}'
@@ -441,23 +448,28 @@ _LOCUS_TEXT = ("C^%d", "{0}", "C_(%d)")
 _LOCUS_LATEX = (r"\mathbb{C}^{%d}", r"\{0\}", r"\mathbb{C}_{(%d)}")
 
 
-def _locus(ring: CrRing, j: int, tokens) -> str:
-    """The fixed locus of sector j: the coordinates of the weight classes
-    whose p divides j.  So sectors with the same gcd(j, ell) have the
-    same locus, and j may be that gcd, ell included."""
+def _locus(ring: CrRing, j: int) -> list:
+    """The fixed locus of sector j, as the rows (b, p, coordinates) of
+    ``ring.classes`` whose p divides j."""
+    return [row for row in ring.classes if not j % row[1]]
+
+
+def _locus_label(ring: CrRing, j: int, tokens) -> str:
+    """The fixed locus of sector j in a notation's tokens: the whole
+    space, the origin, or a sum of weight lines."""
     whole, origin, line = tokens
-    fixed = [(b, len(coords)) for b, p, coords in ring.classes if not j % p]
-    d = sum(m for _, m in fixed)
+    rows = _locus(ring, j)
+    d = sum(len(coords) for _, _, coords in rows)
     if d == len(ring.weights):
         return whole % d
     if not d:
         return origin
-    return "+".join((str(m) if m > 1 else "") + line % b for b, m in fixed)
+    return "+".join((str(len(ks)) if len(ks) > 1 else "") + line % b for b, _, ks in rows)
 
 
 def _fixed_locus_label(ring: CrRing, j: int) -> str:
     """The fixed locus of sector j, e.g. ``C^3``, ``{0}`` or ``2C_(2)+C_(3)``."""
-    return _locus(ring, j, _LOCUS_TEXT)
+    return _locus_label(ring, j, _LOCUS_TEXT)
 
 
 def _euler_label(c: int, d: int, latex: bool = False) -> str:
@@ -466,10 +478,10 @@ def _euler_label(c: int, d: int, latex: bool = False) -> str:
 
 
 def _sector_rows(doc, latex: bool = False):
-    """(label, per-sector cells) rows of the sector chart, read off the
-    ring's columns; each cell that depends on the sector only through a
-    numerator, a shift, the Euler data or gcd(j, ell) is formatted once
-    per distinct value."""
+    """(label, per-sector cells) rows of the sector chart: the rotation
+    cells from the numerators on the residues, the shifts from the
+    shift column, and the loci and Euler classes of the nonzero
+    sectors over those of a zero sector."""
     ring = doc["sectors"].ring
     ell = ring.ell
     if latex:
@@ -481,16 +493,13 @@ def _sector_rows(doc, latex: bool = False):
         locus = _LOCUS_TEXT
         labels = ("sector", "fixed locus", "2*age", "generator", "euler class")
         sector, rotation = "zeta_%d", "a_(%d)"
-    rows = [
-        (labels[0], [sector % j for j in range(ell)]),
-        (labels[1], _once(_gcd_column(ell), lambda g: _locus(ring, g, locus))),
-    ]
-    for (b, _, _), column in zip(ring.classes, ring.numerator_columns()):
-        rows.append((rotation % b, _ratios(column, ell, latex)))
+    loci = _nonzero_cells(ring, locus[1], lambda j: _locus_label(ring, j, locus))
+    rows = [(labels[0], [sector % j for j in range(ell)]), (labels[1], loci)]
+    rows += [(rotation % b, cells) for b, cells in _rotation_cells(ring, latex).items()]
     rows.append((labels[2], _ratios(ring.shift_column(), ell, latex)))
     rows.append((labels[3], ring.generator_names(latex)))
-    rows.append((labels[4], _once(ring.euler_column(), lambda cd: _euler_label(*cd, latex))))
-    return rows
+    euler = _nonzero_cells(ring, "1", lambda j: _euler_label(*ring._annihilator(j), latex))
+    return rows + [(labels[4], euler)]
 
 
 def _sector_table_latex(doc) -> str:

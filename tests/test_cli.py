@@ -245,8 +245,10 @@ def test_sparse_queries_build_no_column_of_all_sectors(capsys, monkeypatch):
     def refuse(ring, *args):
         raise AssertionError(f"a column of all {ring.ell} sectors")
 
-    monkeypatch.setattr(CrRing, "_dense_columns", refuse)
+    monkeypatch.setattr(CrRing, "shift_column", refuse)
     monkeypatch.setattr(CrRing, "generator_names", refuse)
+    monkeypatch.setattr(cli, "_rotation_cells", refuse)
+    monkeypatch.setattr(cli, "_nonzero_cells", refuse)
     assert run_cli(capsys, "chenruan", "--weights", HUGE, "--multtable")[0] == 0
     argv = ("eval", "--weights", HUGE, "--ring", "chenruan", "a1*a1 + a765049*u")
     assert run_cli(capsys, *argv)[0] == 0

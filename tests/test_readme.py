@@ -5,7 +5,8 @@ and must exit 0.  The library example runs as a script, and each line
 it prints must be the value that its trailing comment names.  Every
 dotted name ``wpscoh.<module>.<NAME>`` that the README quotes must
 resolve, and every module-level limit (``MAX_*`` or ``*_LIMIT``) must be
-quoted so.
+quoted so.  Every quoted ``Class.attr`` or ``module.name`` of the
+package, in the README or in a module docstring, must resolve too.
 """
 
 import ast
@@ -67,6 +68,47 @@ def test_every_dotted_name_resolves():
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(f"wpscoh.{module}"), name), (module, name)
+
+
+PACKAGE = Path(wpscoh.__file__).parent
+MODULES = {
+    path.stem: importlib.import_module(f"wpscoh.{path.stem}")
+    for path in sorted(PACKAGE.glob("*.py"))
+    if path.stem != "__main__"
+}
+DOCS = {"README.md": README} | {
+    f"{stem}.py": ast.get_docstring(ast.parse((PACKAGE / f"{stem}.py").read_text())) or ""
+    for stem in MODULES
+}
+# quoted dotted names that are not the package's: a standard module's
+# name, or a key path of a chenruan document
+FOREIGN = {"fractions", "relations"}
+
+
+def _quoted_references():
+    """(where, dotted name) for each dotted name quoted in backticks."""
+    return [
+        (where, ref)
+        for where, text in DOCS.items()
+        for ref in re.findall(r"`+([A-Za-z_]\w*(?:\.\w+)+)(?:\(\))?`+", text)
+    ]
+
+
+def test_every_quoted_class_attr_or_module_name_resolves():
+    resolved = 0
+    for where, ref in _quoted_references():
+        head, *rest = ref.removeprefix("wpscoh.").split(".")
+        if head in FOREIGN:
+            continue
+        owners = [module for name, module in MODULES.items() if name == head]
+        owners = owners or [getattr(m, head) for m in MODULES.values() if head in vars(m)]
+        assert owners, (where, ref)
+        obj = owners[0]
+        for attr in rest:
+            assert hasattr(obj, attr), (where, ref)
+            obj = getattr(obj, attr)
+        resolved += 1
+    assert resolved >= 40
 
 
 def test_every_limit_is_named_by_its_module():
