@@ -76,6 +76,8 @@ MODULES = {
     for path in sorted(PACKAGE.glob("*.py"))
     if path.stem != "__main__"
 }
+# the package's modules and every name defined or imported in one
+NAMES = {name: x for module in MODULES.values() for name, x in vars(module).items()} | MODULES
 DOCS = {"README.md": README} | {
     f"{stem}.py": ast.get_docstring(ast.parse((PACKAGE / f"{stem}.py").read_text())) or ""
     for stem in MODULES
@@ -100,10 +102,8 @@ def test_every_quoted_class_attr_or_module_name_resolves():
         head, *rest = ref.removeprefix("wpscoh.").split(".")
         if head in FOREIGN:
             continue
-        owners = [module for name, module in MODULES.items() if name == head]
-        owners = owners or [getattr(m, head) for m in MODULES.values() if head in vars(m)]
-        assert owners, (where, ref)
-        obj = owners[0]
+        assert head in NAMES, (where, ref)
+        obj = NAMES[head]
         for attr in rest:
             assert hasattr(obj, attr), (where, ref)
             obj = getattr(obj, attr)
