@@ -137,8 +137,8 @@ class WeightVector:
         self.b = b
         self.n = len(b) - 1
         self.N = math.prod(b)
-        self.g = gcd_all(b)
-        self.ell = lcm_all(b)
+        self.g = math.gcd(*b)
+        self.ell = math.lcm(*b)
 
     @property
     def reduced(self) -> bool:

@@ -98,9 +98,9 @@ from .arith import WeightVector, as_weights
 
 # A ring whose index bound, min(ell, sum of the weights), is above this
 # is refused before any sector is marked: 1,1000000000 would index 10^9
-# nonzero sectors, about 200 GB.  The command line refuses output and
-# walks of all ell sectors (the sector chart, the presentation, check)
-# above the same number.
+# nonzero sectors, about 200 GB.  The command line refuses the sector
+# chart and the presentation, which list all ell sectors, and check for
+# ell above the same number.
 DENSE_SECTOR_LIMIT = 100_000
 
 # The presentation and the multiplication table list one product per

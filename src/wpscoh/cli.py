@@ -14,7 +14,10 @@ that document in one walk: ``_json`` writes byte for byte what
 JSON types.  It writes scalars, dicts, lists and tuples itself, with no
 special case for any list, and every library value through the writer
 that ``_WRITERS`` holds for its type; a value of any other type raises
-``TypeError``.  A graded listing renders each distinct group once.
+``TypeError``.  Every array, of a list or of a library value, is written
+by ``_array`` from its item texts, which also writes the empty ``[]``.
+A graded listing renders each distinct group once through
+``_rendered``, as the text listings (``_listing``) format it once.
 
 The ell-sized parts of ``chenruan`` (the sector chart, the generator
 degrees and the kernel relations) are written after ``_require_dense``
@@ -48,9 +51,11 @@ Inputs whose output or work would grow without bound exit 2 with a
 one-line message.  ``cli`` holds the limits of its own input and
 output: more than ``MAX_WEIGHTS`` weights in one vector, a
 ``--max-degree`` above ``MAX_DEGREE_LIMIT``, and a sector chart,
-presentation or ``check`` with more than ``chenruan.DENSE_SECTOR_LIMIT``
-sectors, since each walks all ell of them.  The work it calls refuses
-itself: a sector ring for ``chenruan`` or ``eval`` that would index more
+presentation or ``check`` for ell above ``chenruan.DENSE_SECTOR_LIMIT``.
+The chart and the presentation list all ell sectors; ``check`` reads
+only the residues mod ell / b and the nonzero pairs but keeps the same
+rule on ell, and the message names that rule and ell.  The work it
+calls refuses itself: a sector ring for ``chenruan`` or ``eval`` that would index more
 than ``chenruan.DENSE_SECTOR_LIMIT`` nonzero sectors (``CrRing``), a
 presentation, multiplication table or ``check`` with more than
 ``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors
@@ -94,11 +99,11 @@ MAX_DEGREE_LIMIT = 4000
 
 
 def _require_dense(weights: WeightVector, what: str) -> None:
-    """Refuse output and walks of all ell sectors (the sector chart, the
-    presentation, check) above ``chenruan.DENSE_SECTOR_LIMIT``.  The
-    message names the sparse queries whose own limits the weights pass:
-    eval needs the sector ring's index bound, chenruan --multtable its
-    product limit too."""
+    """Refuse what (the sector chart or presentation, or check) for ell
+    above ``chenruan.DENSE_SECTOR_LIMIT``: the rule is on ell, whatever
+    the query reads.  The message names the sparse queries whose own
+    limits the weights pass: eval needs the sector ring's index bound,
+    chenruan --multtable its product limit too."""
     limit = chenruan.DENSE_SECTOR_LIMIT
     if weights.ell > limit:
         sparse = ""
@@ -108,8 +113,7 @@ def _require_dense(weights: WeightVector, what: str) -> None:
             ring._require_products("")
             sparse = "; chenruan --multtable and eval still work"
         raise ValueError(
-            f"{what} walks all ell = {weights.ell} sectors, more than the limit of "
-            f"{limit}{sparse}"
+            f"{what} needs ell within the limit of {limit}, got ell = {weights.ell}{sparse}"
         )
 
 
@@ -256,36 +260,39 @@ def _json(x, newline: str) -> str:
         items = [f"{_quote(key)}: {_json(x[key], inner)}" for key in sorted(x)]
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        items = [_json(item, inner) for item in x]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+        return _array([_json(item, inner) for item in x], newline)
     writer = _WRITERS.get(type(x))
     if writer is None:
         raise TypeError(f"no JSON form for {type(x).__name__}")
     return writer(x, newline)
 
 
-def _write_listing(pairs, degree_text, newline: str) -> str:
-    """The JSON text of [{"degree": ..., "group": ...}, ...].
+def _array(items, newline: str) -> str:
+    """The JSON text of an array of the given item texts: ``[]`` when
+    there are none, else one item per line, two spaces in from newline.
+    An item text is never empty, so an empty join means no items."""
+    inner = newline + "  "
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}{newline}]" if body else "[]"
 
-    The change-point sweep and OrbifoldRing.groups share a few group
-    objects across many degrees, so each distinct group is rendered once
-    and its text reused.
-    """
-    if not pairs:
-        return "[]"
+
+def _rendered(pairs, render) -> list:
+    """render(group) for each (degree, group) pair, computed once per
+    group object: the change-point sweep and OrbifoldRing.groups share a
+    few group objects across many degrees."""
+    texts = {}  # by id: the pairs hold each group for the call; no text is empty
+    return [texts.get(id(group)) or texts.setdefault(id(group), render(group))
+            for _, group in pairs]
+
+
+def _write_listing(pairs, degree_text, newline: str) -> str:
+    """The JSON text of [{"degree": ..., "group": ...}, ...]."""
     entry = newline + "  "
     field = entry + "  "
     head, middle, tail = "{" + field + '"degree": ', "," + field + '"group": ', entry + "}"
-    rendered = {}  # by id: the pairs hold each group for the whole call
-    texts = []
-    for degree, group in pairs:
-        text = rendered.get(id(group))
-        if text is None:
-            text = rendered[id(group)] = _group_json(group, field)
-        texts.append(f"{head}{degree_text(degree)}{middle}{text}{tail}")
-    return f"[{entry}{(',' + entry).join(texts)}{newline}]"
+    texts = _rendered(pairs, lambda group: _group_json(group, field))
+    return _array([f"{head}{degree_text(degree)}{middle}{text}{tail}"
+                   for (degree, _), text in zip(pairs, texts)], newline)
 
 
 def _ratios(column, ell: int, latex: bool = False) -> list[str]:
@@ -328,50 +335,38 @@ def _sectors_json(sectors: _Sectors, newline: str) -> str:
         return f'{{{item}"coefficient": {c},{item}"exponent": {d}{field}}}'
 
     def fixed(j):
-        coords = sorted(k for _, _, ks in _locus(ring, j) for k in ks)
-        return f"[{item}{(',' + item).join(map(str, coords))}{field}]"
+        # sorted across the weight classes, as the coordinates are numbered
+        return _array(map(str, sorted(k for _, _, ks in _locus(ring, j) for k in ks)), field)
 
     cells = _rotation_cells(ring)
     # per sector, the cells of its coordinates, in coordinate order
     rotations = map(f'",{item}"'.join, zip(*[cells[b] for b in ring.weights.b]))
     columns = zip(rotations, _ratios(ring.shift_column(), ell),
                   _nonzero_cells(ring, euler(1, 0), lambda j: euler(*ring._annihilator(j))),
-                  _nonzero_cells(ring, "[]", fixed))
+                  _nonzero_cells(ring, _array((), field), fixed))
     texts = [
         f'{{{field}"a": [{item}"{a}"{field}],{field}"degree_shift": "{shift}",{field}"euler": {e},'
         f'{field}"fixed": {f},{field}"j": {j}{inner}}}'
         for j, (a, shift, e, f) in enumerate(columns)
     ]
-    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
+    return _array(texts, newline)
 
 
 def _group_json(group, newline: str) -> str:
     """The JSON text of ``group.to_json()``, written from its fields."""
     inner = newline + "  "
-    torsion = "[]"
-    if group.torsion:
-        item = inner + "  "
-        torsion = f"[{item}{(',' + item).join(map(str, group.torsion))}{inner}]"
+    torsion = _array(map(str, group.torsion), inner)
     return f'{{{inner}"free_rank": {group.free_rank},{inner}"torsion": {torsion}{newline}}}'
 
 
 def _products_json(products: "_Products", newline: str) -> str:
     """The JSON text of [{"i": ..., "j": ..., "product": ...}, ...]."""
-    if not products.relations:
-        return "[]"
     inner = newline + "  "
     field = inner + "  "
-    texts = [
+    return _array([
         f'{{{field}"i": {rel.i},{field}"j": {rel.j},{field}"product": {_quote(text)}{inner}}}'
         for rel, text in zip(products.relations, products.texts())
-    ]
-    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
-
-
-def _json_strings(texts: list[str], newline: str) -> str:
-    """The JSON text of a non-empty list of strings."""
-    inner = newline + "  "
-    return f"[{inner}{(',' + inner).join(map(_quote, texts))}{newline}]"
+    ], newline)
 
 
 def _generators_json(generators: GeneratorUnits, newline: str) -> str:
@@ -379,11 +374,10 @@ def _generators_json(generators: GeneratorUnits, newline: str) -> str:
     inner = newline + "  "
     field = inner + "  "
     degrees = _ratios(generators.units(), generators.ring.ell)
-    texts = [
+    return _array([
         f'{{{field}"degree": "{degree}",{field}"name": "{name}"{inner}}}'
         for name, degree in zip(generators.names(), degrees)
-    ]
-    return f"[{inner}{(',' + inner).join(texts)}{newline}]"
+    ], newline)
 
 
 def _quoted(x, newline: str) -> str:
@@ -396,7 +390,7 @@ _WRITERS = {
     KawasakiElement: _quoted,
     OrbifoldElement: _quoted,
     GeneratorUnits: _generators_json,
-    KernelRelations: lambda rels, newline: _json_strings(rels.render(), newline),
+    KernelRelations: lambda rels, newline: _array(map(_quote, rels.render()), newline),
     _Products: _products_json,
     _Sectors: _sectors_json,
     WeightVector: lambda w, newline: _json(w.b, newline),
@@ -419,20 +413,12 @@ def _join(blocks) -> str:
     return "\n\n".join(block for block in blocks if block)
 
 
-def _listing(groups) -> list:
-    """The "groups by degree" lines of a GradedGroups or a _Graded.
-
-    These listings share a few group objects across many degrees, so
-    each distinct group is formatted once.
-    """
-    lines = [f"groups by degree (up to {groups.max_degree}):"]
-    names = {}  # by id: the listing holds each group for the whole call
-    for degree, group in groups.items():
-        name = names.get(id(group))
-        if name is None:
-            name = names[id(group)] = str(group)
-        lines.append(f"  degree {degree}: {name}")
-    return lines
+def _listing(groups, header: str) -> list:
+    """header, then a "degree d: group" line per pair of a GradedGroups
+    or a _Graded, each distinct group formatted once."""
+    pairs = groups.items()
+    names = _rendered(pairs, str)
+    return [header] + [f"  degree {degree}: {name}" for (degree, _), name in zip(pairs, names)]
 
 
 def _table(rows) -> str:
@@ -558,7 +544,8 @@ def _chenruan_text(doc) -> str:
         lines.append("generator degrees:")
         degrees = _ratios(generators.units(), doc["ell"])
         lines.extend(f"  {name}: degree {degree}" for name, degree in zip(names, degrees))
-        blocks.append("\n".join(lines + _listing(doc["graded"])))
+        lines += _listing(doc["graded"], f"groups by degree (up to {doc['graded'].max_degree}):")
+        blocks.append("\n".join(lines))
     if "mult_table" in doc:
         lines = ["multiplication table (nonzero twisted generators):"]
         blocks.append("\n".join(lines + [f"  {line}" for line in doc["mult_table"].lines()]))
@@ -619,7 +606,8 @@ def _kawasaki_text(doc) -> str:
             for k, ok in enumerate(doc["g1_power_spans"])
         )
         lines.append(f"powers of g1 span ({spans})")
-    return "\n".join(lines + _listing(doc["groups"]))
+    lines += _listing(doc["groups"], f"groups by degree (up to {doc['groups'].max_degree}):")
+    return "\n".join(lines)
 
 
 def _kawasaki_latex(doc) -> str:
@@ -662,7 +650,7 @@ def _orbifold_text(doc) -> str:
         f"orbifold cohomology ring for weights {doc['weights']}: "
         f"Z[u]/<{rel['coefficient']}u^{rel['exponent']}>"
     ]
-    lines += _listing(doc["groups"])
+    lines += _listing(doc["groups"], f"groups by degree (up to {doc['groups'].max_degree}):")
     if doc["qstar"]:
         lines.append("comparison map from the coarse-space ring:")
         lines.extend(f"  q*({q['generator']}) = {q['image']}" for q in doc["qstar"])
@@ -694,11 +682,8 @@ def _cmd_kunneth(args) -> dict:
 
 def _kunneth_text(doc) -> str:
     groups, top, witness = doc["groups"], doc["max_degree"], doc["odd_torsion_witness"]
-    lines = [f"product cohomology for {doc['weights_a']} x {doc['weights_b']} up to degree {top}:"]
-    # product_groups builds one group per degree, and where the factors
-    # share torsion each differs from the rest, so a cache of formatted
-    # groups would only add a hash per degree
-    lines.extend(f"  degree {d}: {g}" for d, g in groups.items())
+    header = f"product cohomology for {doc['weights_a']} x {doc['weights_b']} up to degree {top}:"
+    lines = _listing(groups, header)
     if witness is None:
         lines.append(f"no odd-degree torsion up to degree {top}")
     else:

@@ -83,7 +83,7 @@ class KawasakiRing(Algebra):
     def __init__(self, weights):
         w = as_weights(weights)
         self.weights = w
-        self.ell_table = subset_lcm_table(w.b)
+        self.ell_table = subset_lcm_table(w)
         # cheap cross-checks of known identities
         if self.ell_table[0] != 1:
             raise ArithmeticError(f"l_0 = {self.ell_table[0]}, not 1, for {w}")

@@ -212,11 +212,11 @@ def test_dense_refusal_names_the_queries_that_still_work(capsys, weights, hint):
     code, out, err = run_cli(capsys, "check", "--weights", weights)
     assert (code, out) == (2, "")
     assert err == (
-        f"error: check walks all ell = {ell} sectors, more than the limit of 100000{hint}\n"
+        f"error: check needs ell within the limit of 100000, got ell = {ell}{hint}\n"
     )
     code, out, err = run_cli(capsys, "chenruan", "--weights", weights, "--sectors")
     assert (code, out) == (2, "")
-    assert err.endswith(f"limit of 100000{hint}\n")
+    assert err.endswith(f"limit of 100000, got ell = {ell}{hint}\n")
     # a query is named exactly when it answers
     queries = {
         "eval": ("eval", "--ring", "chenruan", "u"),

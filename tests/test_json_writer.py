@@ -164,7 +164,15 @@ def test_writer_matches_oracle_on_json_values(value):
     assert_same_text(cli._dump_json(value), oracle(value))
 
 
-@pytest.mark.parametrize("value", [[], {}, [[]], {"": {}}, [(), {"a": []}], ([[{}]],)])
+@pytest.mark.parametrize("value", [
+    [], {}, [[]], {"": {}}, [(), {"a": []}], ([[{}]],),
+    # library values whose arrays are empty: a listing with no degree, a
+    # presentation with no product relation, a group with no torsion
+    GradedGroups(3, {}), {"groups": GradedGroups(3, {})},
+    _Graded(Fraction(3), []), {"graded": _Graded(Fraction(3), [])},
+    _Products(()), {"mult_table": _Products(())},
+    GradedGroups(3, {0: FgAbGroup(1)}), {"graded": _Graded(Fraction(3), [(0, FgAbGroup(1))])},
+])
 def test_empty_containers(value):
     assert cli._dump_json(value) == oracle(value)
 
