@@ -19,6 +19,7 @@ repeated to a fixed point, is kept as the test oracle in
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
@@ -173,50 +174,57 @@ Z = FgAbGroup(1)
 class GradedGroups:
     """Degree-indexed abelian groups, complete up to a stated bound.
 
-    Degrees absent from the table but not exceeding ``max_degree`` are
+    Degrees absent from the listing but not exceeding ``max_degree`` are
     the zero group; degrees beyond the bound were never computed and
-    asking for them is an error.  The table is sorted by degree once,
-    when it is built.
+    asking for them is an error.  groups is a dict {degree: group},
+    whose zero groups are dropped and whose degrees are sorted here, or
+    (degree, group) pairs that are already sorted by degree and nonzero,
+    as ``CrRing.graded_dimensions`` builds them, held as given.  Either
+    way one sorted list of the nonzero pairs is held, and ``group``
+    reads it by bisection.  Degrees are ints, or Fractions for the
+    Chen-Ruan grading.
     """
 
-    __slots__ = ("max_degree", "_groups")
+    __slots__ = ("max_degree", "_pairs")
 
-    def __init__(self, max_degree, groups=None):
+    def __init__(self, max_degree, groups=()):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.max_degree = max_degree
-        self._groups = {
-            d: g for d, g in sorted((groups or {}).items(), key=itemgetter(0)) if not g.is_zero
-        }
+        if isinstance(groups, dict):
+            groups = [(d, g) for d, g in sorted(groups.items(), key=itemgetter(0)) if not g.is_zero]
+        self._pairs = list(groups)
 
     def group(self, degree) -> FgAbGroup:
         if degree > self.max_degree:
             raise ValueError(f"degree {degree} exceeds the computed bound {self.max_degree}")
-        if degree < 0:
-            return ZERO
-        return self._groups.get(degree, ZERO)
+        pairs = self._pairs
+        i = bisect_left(pairs, degree, key=itemgetter(0))
+        return pairs[i][1] if i < len(pairs) and pairs[i][0] == degree else ZERO
 
-    def items(self):
-        """Nonzero (degree, group) pairs, sorted by degree."""
-        return list(self._groups.items())
+    def items(self) -> list:
+        """Nonzero (degree, group) pairs, sorted by degree: the held
+        list itself, which a caller reads and does not change."""
+        return self._pairs
 
     def to_json(self) -> list:
-        return [
-            {"degree": _degree_json(d), "group": g.to_json()} for d, g in self.items()
-        ]
+        return [{"degree": degree_json(d), "group": g.to_json()} for d, g in self._pairs]
 
     def __eq__(self, other):
         if isinstance(other, GradedGroups):
-            return self.max_degree == other.max_degree and self._groups == other._groups
+            return self.max_degree == other.max_degree and self._pairs == other._pairs
         return NotImplemented
 
     def __repr__(self):
-        body = ", ".join(f"{d}: {g}" for d, g in self.items())
+        body = ", ".join(f"{d}: {g}" for d, g in self._pairs)
         return f"GradedGroups(max_degree={self.max_degree}, {{{body}}})"
 
 
-def _degree_json(d):
-    """Integral degrees serialise as ints, fractional ones as 'p/q' strings."""
-    if isinstance(d, Fraction):
-        return int(d) if d.denominator == 1 else str(d)
-    return d
+def degree_json(d):
+    """The JSON form of a listing's degree: a Fraction as the string
+    ``str(d)`` (``"2"``, ``"7/3"``), an int as the int.
+
+    >>> degree_json(Fraction(7, 3)), degree_json(Fraction(2)), degree_json(2)
+    ('7/3', '2', 2)
+    """
+    return str(d) if isinstance(d, Fraction) else d

@@ -90,9 +90,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq, itemgetter
+from itertools import repeat
+from operator import add, eq
 
-from .abelian import FgAbGroup
+from .abelian import FgAbGroup, GradedGroups
 from .algebra import Algebra, Element, monomial, u_power
 from .arith import WeightVector, as_weights
 
@@ -392,8 +393,9 @@ class CrRing(Algebra):
 
     # -- grading ------------------------------------------------------------------
 
-    def graded_dimensions(self, max_degree) -> list:
-        """Nonzero (degree, group) pairs up to max_degree, sorted.
+    def graded_dimensions(self, max_degree) -> GradedGroups:
+        """The groups up to max_degree, as a ``GradedGroups`` whose
+        degrees are Fractions.
 
         Sector j contributes Z at degree shift_j + 2m while m < d_j and
         Z/c_j once m >= d_j; sectors whose generator is zero contribute
@@ -411,10 +413,9 @@ class CrRing(Algebra):
         that renders each group object once renders each value once.
 
         >>> CrRing((1, 2)).graded_dimensions(3)
-        [(Fraction(0, 1), FgAbGroup(1, ())), (Fraction(1, 1), FgAbGroup(1, ())), \
-(Fraction(2, 1), FgAbGroup(1, ())), (Fraction(3, 1), FgAbGroup(0, (2,)))]
-        >>> [(str(deg), str(g)) for deg, g in CrRing((2, 2)).graded_dimensions(4)]
-        [('0', 'Z^2'), ('2', 'Z^2'), ('4', 'Z/4 + Z/4')]
+        GradedGroups(max_degree=3, {0: Z, 1: Z, 2: Z, 3: Z/2})
+        >>> CrRing((2, 2)).graded_dimensions(4).items()[-1]
+        (Fraction(4, 1), FgAbGroup(0, (4, 4)))
         """
         max_degree = Fraction(max_degree)
         if max_degree < 0:
@@ -433,7 +434,7 @@ class CrRing(Algebra):
             end[0] -= 1
             if c > 1:
                 end[1].append(c)
-        swept = []
+        units, groups = [], []  # each listed degree in units of 1/ell, and its group
         shared = {}  # one object per distinct group, across the classes
         for points in classes.values():
             free, orders = 0, []
@@ -447,9 +448,12 @@ class CrRing(Algebra):
                 if free or orders:
                     group = FgAbGroup(free, orders)
                     group = shared.setdefault(group, group)
-                    swept += [(y, group) for y in range(x, min(stop, last + 1), period)]
-        swept.sort(key=itemgetter(0))
-        return [(Fraction(x, ell), group) for x, group in swept]
+                    run = range(x, min(stop, last + 1), period)
+                    units += run
+                    groups += [group] * len(run)
+        order = sorted(range(len(units)), key=units.__getitem__)
+        degrees = map(Fraction, map(units.__getitem__, order), repeat(ell))
+        return GradedGroups(max_degree, zip(degrees, map(groups.__getitem__, order)))
 
     # -- comparison -------------------------------------------------------------------
 

@@ -16,7 +16,10 @@ special case for any list, and every library value through the writer
 that ``_WRITERS`` holds for its type; a value of any other type raises
 ``TypeError``.  Every array, of a list or of a library value, is written
 by ``_array`` from its item texts, which also writes the empty ``[]``.
-A graded listing renders each distinct group once through
+Every graded listing, the Chen-Ruan one included, is a ``GradedGroups``
+written by ``_write_listing``: each degree in the form that
+``abelian.degree_json`` gives it (an int as a number, a Fraction as
+its string ``str(d)``), and each distinct group rendered once through
 ``_rendered``, as the text listings (``_listing``) format it once.
 
 The ell-sized parts of ``chenruan`` (the sector chart, the generator
@@ -72,12 +75,11 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import chenruan
-from .abelian import GradedGroups, _degree_json
+from .abelian import GradedGroups, degree_json
 from .algebra import monomial, u_power
 from .arith import WeightVector
 from .chenruan import CrElement, CrRing, GeneratorUnits, KernelRelations, _Sectors
@@ -192,22 +194,6 @@ def _integral_max_degree(args, n: int) -> int:
 # -- document values and their JSON form ------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Graded:
-    """CrRing.graded_dimensions up to max_degree, read as a GradedGroups is.
-
-    It stays beside GradedGroups because chenruan writes every degree as
-    p/q, the integral ones too, where a GradedGroups writes integral
-    degrees as ints.  Its pairs come from the sweep sorted and nonzero.
-    """
-
-    max_degree: Fraction
-    pairs: list
-
-    def items(self):
-        return self.pairs
-
-
 class _Products:
     """The product relations of a presentation, held once under both
     relations.I and mult_table; each relation renders its monomial once
@@ -285,13 +271,15 @@ def _rendered(pairs, render) -> list:
             for _, group in pairs]
 
 
-def _write_listing(pairs, degree_text, newline: str) -> str:
-    """The JSON text of [{"degree": ..., "group": ...}, ...]."""
+def _write_listing(groups: GradedGroups, newline: str) -> str:
+    """The JSON text of ``groups.to_json()``: each degree in the form
+    ``degree_json`` gives it, each distinct group rendered once."""
     entry = newline + "  "
     field = entry + "  "
     head, middle, tail = "{" + field + '"degree": ', "," + field + '"group": ', entry + "}"
+    pairs = groups.items()
     texts = _rendered(pairs, lambda group: _group_json(group, field))
-    return _array([f"{head}{degree_text(degree)}{middle}{text}{tail}"
+    return _array([f"{head}{_json(degree_json(degree), field)}{middle}{text}{tail}"
                    for (degree, _), text in zip(pairs, texts)], newline)
 
 
@@ -397,11 +385,7 @@ _WRITERS = {
     CheckResult: lambda r, newline: _json(
         {"name": r.name, "passed": r.passed, "detail": r.detail}, newline
     ),
-    GradedGroups: lambda g, newline: _write_listing(
-        g.items(), lambda d: _json(_degree_json(d), newline), newline
-    ),
-    # chenruan writes every degree as p/q, the integral ones too
-    _Graded: lambda g, newline: _write_listing(g.pairs, lambda d: _quote(str(d)), newline),
+    GradedGroups: _write_listing,
 }
 
 
@@ -414,8 +398,8 @@ def _join(blocks) -> str:
 
 
 def _listing(groups, header: str) -> list:
-    """header, then a "degree d: group" line per pair of a GradedGroups
-    or a _Graded, each distinct group formatted once."""
+    """header, then a "degree d: group" line per pair of a GradedGroups,
+    each distinct group formatted once."""
     pairs = groups.items()
     names = _rendered(pairs, str)
     return [header] + [f"  degree {degree}: {name}" for (degree, _), name in zip(pairs, names)]
@@ -520,7 +504,7 @@ def _cmd_chenruan(args) -> dict:
         doc["generators"] = pres.generator_units
         doc["relations"] = {"J": pres.kernel_relations, "I": products}
         if args.format != "latex":
-            doc["graded"] = _Graded(max_degree, ring.graded_dimensions(max_degree))
+            doc["graded"] = ring.graded_dimensions(max_degree)
     if "multtable" in sections:
         doc["mult_table"] = products
     return doc

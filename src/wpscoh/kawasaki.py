@@ -189,7 +189,7 @@ class KawasakiRing(Algebra):
             )
         raise ValueError(
             f"unknown symbol {name!r} for the coarse-space ring of {self.weights}: "
-            "use g1..g%d (u and sector generators live in the other rings)" % self.weights.n
+            "use g0..g%d (u and sector generators live in the other rings)" % self.weights.n
         )
 
 

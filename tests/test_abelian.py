@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -102,4 +104,17 @@ def test_graded_groups_lookup():
     assert gg.to_json() == [
         {"degree": 0, "group": {"free_rank": 1, "torsion": []}},
         {"degree": 2, "group": {"free_rank": 0, "torsion": [2]}},
+    ]
+    # a Chen-Ruan style listing, from pairs sorted by Fraction degree
+    rational = GradedGroups(Fraction(3), [(Fraction(2), Z), (Fraction(7, 3), cyclic(3))])
+    assert rational.group(Fraction(2)) == Z
+    assert rational.group(2) == Z
+    assert rational.group(Fraction(7, 3)) == cyclic(3)
+    assert rational.group(Fraction(5, 2)) == ZERO
+    assert rational.group(Fraction(1, 3)) == ZERO
+    with pytest.raises(ValueError):
+        rational.group(Fraction(10, 3))
+    assert rational.to_json() == [
+        {"degree": "2", "group": {"free_rank": 1, "torsion": []}},
+        {"degree": "7/3", "group": {"free_rank": 0, "torsion": [3]}},
     ]

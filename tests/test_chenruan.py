@@ -169,13 +169,13 @@ def test_presentation_smooth():
 
 def test_graded_dimensions_examples():
     ring = CrRing((1, 2))
-    table = dict(ring.graded_dimensions(5))
+    table = dict(ring.graded_dimensions(5).items())
     assert table[F(0)] == Z
     assert table[F(1)] == Z  # the degree-1 sector generator
     assert table[F(2)] == Z
     assert table[F(3)] == cyclic(2)  # u a1 killed by 2u a1
     assert table[F(4)] == cyclic(2)
-    big = dict(CrRing(B).graded_dimensions(4))
+    big = dict(CrRing(B).graded_dimensions(4).items())
     assert big[F(8, 3)] == Z
     assert big[F(10, 3)] == Z
     assert big[F(4)] == FgAbGroup(2)  # u^2 and a3
@@ -184,7 +184,7 @@ def test_graded_dimensions_examples():
 def test_graded_dimensions_match_group_ring_for_gerbe():
     # all rotation numbers vanish for (2,2): two identity-like sectors
     ring = CrRing((2, 2))
-    table = dict(ring.graded_dimensions(6))
+    table = dict(ring.graded_dimensions(6).items())
     assert table[F(0)] == FgAbGroup(2)  # 1 and a1 both in degree 0
     assert table[F(2)] == FgAbGroup(2)
     assert table[F(4)] == FgAbGroup(0, [4, 4])

@@ -104,6 +104,10 @@ def test_eval_foreign_symbol_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "--weights", "1,2", "--ring", "kawasaki", "u")
     assert code == 2
     assert "coarse-space" in err
+    # one weight: g0, the unit, is the only generator
+    code, _, err = run_cli(capsys, "eval", "--weights", "5", "--ring", "kawasaki", "u")
+    assert code == 2
+    assert "use g0..g0 (u and sector generators" in err
 
 
 def test_bad_weights_usage_error(capsys):

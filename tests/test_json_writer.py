@@ -39,7 +39,7 @@ from wpscoh.chenruan import (
     SectorData,
     _Sectors,
 )
-from wpscoh.cli import _Graded, _Products
+from wpscoh.cli import _Products
 from wpscoh.verify import CheckResult
 
 
@@ -62,10 +62,9 @@ def _json_value(x):
     if isinstance(x, (Fraction, Element, KernelRelation)):
         return str(x)
     if isinstance(x, GradedGroups):
-        return x.to_json()
-    if isinstance(x, _Graded):
-        # chenruan prints every degree as p/q, the integral ones too
-        return [{"degree": str(d), "group": g.to_json()} for d, g in x.pairs]
+        # an int degree as the int, a Fraction degree as p/q, integral ones too
+        return [{"degree": str(d) if isinstance(d, Fraction) else d, "group": g.to_json()}
+                for d, g in x.items()]
     if isinstance(x, WeightVector):
         return list(x.b)
     if isinstance(x, SectorData):
@@ -169,9 +168,10 @@ def test_writer_matches_oracle_on_json_values(value):
     # library values whose arrays are empty: a listing with no degree, a
     # presentation with no product relation, a group with no torsion
     GradedGroups(3, {}), {"groups": GradedGroups(3, {})},
-    _Graded(Fraction(3), []), {"graded": _Graded(Fraction(3), [])},
+    GradedGroups(Fraction(3), []), {"graded": GradedGroups(Fraction(3), [])},
     _Products(()), {"mult_table": _Products(())},
-    GradedGroups(3, {0: FgAbGroup(1)}), {"graded": _Graded(Fraction(3), [(0, FgAbGroup(1))])},
+    GradedGroups(3, {0: FgAbGroup(1)}),
+    {"graded": GradedGroups(Fraction(3), [(Fraction(0), FgAbGroup(1))])},
 ])
 def test_empty_containers(value):
     assert cli._dump_json(value) == oracle(value)
@@ -188,10 +188,13 @@ def test_unknown_leaf_raises_type_error(leaf):
 
 @pytest.mark.parametrize("degree", [0, 1, 7, Fraction(9, 2), Fraction(6)])
 def test_graded_groups_degree_forms(degree):
-    """GradedGroups writes integral degrees as ints; _Graded writes p/q."""
+    """GradedGroups writes int degrees as ints and Fraction degrees as
+    p/q, the integral ones too, from a dict or from pairs."""
     group = FgAbGroup(1, [2, 4])
-    for doc in (GradedGroups(9, {degree: group}), _Graded(Fraction(9), [(degree, group)])):
+    for doc in (GradedGroups(9, {degree: group}), GradedGroups(Fraction(9), [(degree, group)])):
         assert_same_text(cli._dump_json({"groups": doc}), oracle({"groups": doc}))
+        written = json.loads(cli._dump_json(doc))[0]["degree"]
+        assert written == (str(degree) if isinstance(degree, Fraction) else degree)
 
 
 def _count_group_renders(monkeypatch, capsys, max_degree):
@@ -213,7 +216,7 @@ def test_graded_listing_renders_each_group_once(monkeypatch, capsys):
     counts = {}
     for max_degree in (400, 4000):
         counts[max_degree] = _count_group_renders(monkeypatch, capsys, max_degree)
-        distinct = {g for _, g in CrRing((5, 7, 9)).graded_dimensions(max_degree)}
+        distinct = {g for _, g in CrRing((5, 7, 9)).graded_dimensions(max_degree).items()}
         assert 0 < counts[max_degree] <= len(distinct)
     assert counts[400] == counts[4000]
 
@@ -227,5 +230,5 @@ def test_text_listing_formats_each_group_once(monkeypatch, capsys):
         argv = ["chenruan", "--weights", "5,7,9", "--max-degree", str(max_degree)]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        distinct = {g for _, g in CrRing((5, 7, 9)).graded_dimensions(max_degree)}
+        distinct = {g for _, g in CrRing((5, 7, 9)).graded_dimensions(max_degree).items()}
         assert 0 < len(calls) <= len(distinct)

@@ -125,7 +125,7 @@ def old_document(argv):
         )
         doc["relations"] = {"J": kernel, "I": products}
         if args.format != "latex":
-            doc["graded"] = OldGraded(max_degree, ring.graded_dimensions(max_degree))
+            doc["graded"] = OldGraded(max_degree, ring.graded_dimensions(max_degree).items())
     if "multtable" in sections:
         doc["mult_table"] = products
     return args.format, doc

@@ -145,7 +145,7 @@ def assert_matches_dense(b):
     assert [(r.i, r.j, r.product.parts) for r in pres.product_relations] == products
     assert {key: x.parts for key, x in ring.mult_table().items()} == dense.mult_table()
     for max_degree in (0, Fraction(7, 2), 2 * (ring.weights.n + 2), 30):
-        assert ring.graded_dimensions(max_degree) == dense.graded_dimensions(max_degree)
+        assert ring.graded_dimensions(max_degree).items() == dense.graded_dimensions(max_degree)
 
 
 def test_sparse_matches_dense_on_corpus():

@@ -26,6 +26,11 @@ ratio of each figure and the median and quartiles of the per-operation
 latency ratios.  The host's speed drifts more between two runs than
 between the two calls of a pair, so these ratios are steadier than a
 comparison of two separate runs.
+
+It measures neither ``peak_rss_mb`` nor ``setup_s``: both trees share
+one process, so neither figure belongs to one side.  A change still
+needs two runs of ``perfbench/run.py``, one per tree, for those two
+metrics.
 """
 
 from __future__ import annotations
