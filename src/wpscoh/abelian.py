@@ -14,15 +14,30 @@ the product over q of q raised to the i-th largest exponent v_q(d).
 older pairwise gcd/lcm absorption, Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b)
 repeated to a fixed point, is kept as the test oracle in
 ``tests/test_closed_form_oracle.py``.
+
+A caller that already holds the chain, as ``kunneth.product_groups``
+does, builds the group with ``FgAbGroup._from_chain``, which trusts it
+and skips validation and canonicalisation; the canonicalising
+constructor is its test oracle.  A chain holds few distinct orders
+(a Kunneth group at degree D has about D/2 copies of Z/g), so a group
+is written from its runs (``FgAbGroup.runs``): each distinct order is
+formatted once and its text repeated.
+
+A ``GradedGroups`` listing holds its degrees as given (ints, or
+Fractions), or, for the Chen-Ruan grading, as integers in units of
+1/ell (``GradedGroups.in_units``), which a writer formats straight from
+the integer.  Such a listing builds its ``Fraction`` degrees only when
+``items`` or ``to_json`` is called, and ``group`` turns the degree it
+is asked for into units.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
 
 from .arith import coprime_base, valuation
 
@@ -88,6 +103,35 @@ class FgAbGroup:
         self.free_rank = free_rank
         self.torsion = _invariant_factors(orders)
 
+    @classmethod
+    def _from_chain(cls, free_rank: int, chain: tuple) -> "FgAbGroup":
+        """The group Z^free_rank + Z/d_1 + ... + Z/d_k for a chain the
+        caller knows to be canonical: a tuple d_1 | d_2 | ... | d_k with
+        every d_i >= 2.  Nothing is checked or reordered.
+
+        >>> FgAbGroup._from_chain(1, (2, 2, 6)) == FgAbGroup(1, [6, 2, 2])
+        True
+        """
+        group = object.__new__(cls)
+        group.free_rank = free_rank
+        group.torsion = chain
+        return group
+
+    def runs(self) -> list:
+        """(order, multiplicity) for each distinct torsion order, smallest
+        first: the chain is sorted, so equal orders are adjacent.
+
+        >>> FgAbGroup(0, [2, 2, 6, 6, 6]).runs()
+        [(2, 2), (6, 3)]
+        """
+        chain, out, i = self.torsion, [], 0
+        while i < len(chain):
+            d = chain[i]
+            j = bisect_right(chain, d, i)
+            out.append((d, j - i))
+            i = j
+        return out
+
     @property
     def is_zero(self) -> bool:
         return self.free_rank == 0 and not self.torsion
@@ -149,7 +193,7 @@ class FgAbGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        parts.extend(" + ".join([f"Z/{d}"] * k) for d, k in self.runs())
         return " + ".join(parts) if parts else "0"
 
 
@@ -179,44 +223,79 @@ class GradedGroups:
     asking for them is an error.  groups is a dict {degree: group},
     whose zero groups are dropped and whose degrees are sorted here, or
     (degree, group) pairs that are already sorted by degree and nonzero,
-    as ``CrRing.graded_dimensions`` builds them, held as given.  Either
-    way one sorted list of the nonzero pairs is held, and ``group``
-    reads it by bisection.  Degrees are ints, or Fractions for the
-    Chen-Ruan grading.
+    held as given.  Degrees are ints, or Fractions.
+
+    ``in_units`` builds the Chen-Ruan listing: its degrees are integers
+    in units of 1/ell, held with ell and not as Fractions.  Either way
+    the listing holds two parallel columns, ``columns()``: the degrees
+    (as given, or in units when ``ell`` is set) and the groups.
+    ``items``, ``group`` and ``to_json`` take and give degrees as ints
+    or Fractions, so a units listing builds its Fractions on the first
+    call of ``items`` and keeps them.
     """
 
-    __slots__ = ("max_degree", "_pairs")
+    __slots__ = ("max_degree", "ell", "_degrees", "_groups", "_pairs")
 
     def __init__(self, max_degree, groups=()):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.max_degree = max_degree
+        self.ell = None
         if isinstance(groups, dict):
-            groups = [(d, g) for d, g in sorted(groups.items(), key=itemgetter(0)) if not g.is_zero]
+            groups = [(d, groups[d]) for d in sorted(groups) if not groups[d].is_zero]
         self._pairs = list(groups)
+        self._degrees = [d for d, _ in self._pairs]
+        self._groups = [g for _, g in self._pairs]
+
+    @classmethod
+    def in_units(cls, max_degree, ell: int, units: list, groups: list) -> "GradedGroups":
+        """The listing with degree units[i] / ell holding groups[i]; units
+        are sorted ints and the groups nonzero, held as given.
+
+        >>> GradedGroups.in_units(Fraction(3), 3, [0, 7], [Z, cyclic(3)])
+        GradedGroups(max_degree=3, {0: Z, 7/3: Z/3})
+        """
+        listing = cls(max_degree)
+        listing.ell, listing._degrees, listing._groups = ell, units, groups
+        listing._pairs = None
+        return listing
+
+    def columns(self) -> tuple:
+        """(degrees, groups), the held parallel lists of the nonzero
+        entries sorted by degree; the degrees are in units of 1/ell when
+        ``ell`` is set.  A caller reads them and does not change them."""
+        return self._degrees, self._groups
 
     def group(self, degree) -> FgAbGroup:
         if degree > self.max_degree:
             raise ValueError(f"degree {degree} exceeds the computed bound {self.max_degree}")
-        pairs = self._pairs
-        i = bisect_left(pairs, degree, key=itemgetter(0))
-        return pairs[i][1] if i < len(pairs) and pairs[i][0] == degree else ZERO
+        if self.ell is not None:
+            degree = Fraction(degree) * self.ell
+            if degree.denominator != 1:
+                return ZERO
+            degree = degree.numerator
+        degrees = self._degrees
+        i = bisect_left(degrees, degree)
+        return self._groups[i] if i < len(degrees) and degrees[i] == degree else ZERO
 
     def items(self) -> list:
         """Nonzero (degree, group) pairs, sorted by degree: the held
         list itself, which a caller reads and does not change."""
+        if self._pairs is None:
+            degrees = map(Fraction, self._degrees, repeat(self.ell))
+            self._pairs = list(zip(degrees, self._groups))
         return self._pairs
 
     def to_json(self) -> list:
-        return [{"degree": degree_json(d), "group": g.to_json()} for d, g in self._pairs]
+        return [{"degree": degree_json(d), "group": g.to_json()} for d, g in self.items()]
 
     def __eq__(self, other):
         if isinstance(other, GradedGroups):
-            return self.max_degree == other.max_degree and self._pairs == other._pairs
+            return self.max_degree == other.max_degree and self.items() == other.items()
         return NotImplemented
 
     def __repr__(self):
-        body = ", ".join(f"{d}: {g}" for d, g in self._pairs)
+        body = ", ".join(f"{d}: {g}" for d, g in self.items())
         return f"GradedGroups(max_degree={self.max_degree}, {{{body}}})"
 
 

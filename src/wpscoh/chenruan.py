@@ -90,7 +90,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from operator import add, eq
 
 from .abelian import FgAbGroup, GradedGroups
@@ -395,7 +394,7 @@ class CrRing(Algebra):
 
     def graded_dimensions(self, max_degree) -> GradedGroups:
         """The groups up to max_degree, as a ``GradedGroups`` whose
-        degrees are Fractions.
+        degrees are Fractions, held in units of 1/ell.
 
         Sector j contributes Z at degree shift_j + 2m while m < d_j and
         Z/c_j once m >= d_j; sectors whose generator is zero contribute
@@ -408,7 +407,9 @@ class CrRing(Algebra):
         starts, and s_j + 2 ell d_j, where that Z becomes Z/c_j.  One
         group is built per change point and shared by every degree up
         to the next, so the cost grows with the nonzero sectors, not
-        with max_degree; a degree becomes a Fraction only when emitted.
+        with max_degree.  The listing keeps each degree in units of 1/ell
+        (``GradedGroups.in_units``); a Fraction is built only if a caller
+        asks for ``items``.
         Equal groups of different classes are one object, so a listing
         that renders each group object once renders each value once.
 
@@ -452,8 +453,8 @@ class CrRing(Algebra):
                     units += run
                     groups += [group] * len(run)
         order = sorted(range(len(units)), key=units.__getitem__)
-        degrees = map(Fraction, map(units.__getitem__, order), repeat(ell))
-        return GradedGroups(max_degree, zip(degrees, map(groups.__getitem__, order)))
+        units = list(map(units.__getitem__, order))
+        return GradedGroups.in_units(max_degree, ell, units, list(map(groups.__getitem__, order)))
 
     # -- comparison -------------------------------------------------------------------
 

@@ -21,6 +21,11 @@ written by ``_write_listing``: each degree in the form that
 ``abelian.degree_json`` gives it (an int as a number, a Fraction as
 its string ``str(d)``), and each distinct group rendered once through
 ``_rendered``, as the text listings (``_listing``) format it once.
+The Chen-Ruan listing holds its degrees in units of 1/ell, and
+``_degrees`` formats each from the integer (``_ratio``), with no
+``Fraction``.  A group is written from its runs of equal orders
+(``FgAbGroup.runs``), each order formatted once: a Kunneth group at
+degree D holds about D/2 copies of Z/g.
 
 The ell-sized parts of ``chenruan`` (the sector chart, the generator
 degrees and the kernel relations) are written after ``_require_dense``
@@ -262,13 +267,27 @@ def _array(items, newline: str) -> str:
     return f"[{inner}{body}{newline}]" if body else "[]"
 
 
-def _rendered(pairs, render) -> list:
-    """render(group) for each (degree, group) pair, computed once per
-    group object: the change-point sweep and OrbifoldRing.groups share a
-    few group objects across many degrees."""
-    texts = {}  # by id: the pairs hold each group for the call; no text is empty
+def _rendered(groups: GradedGroups, render) -> list:
+    """render(group) for each listed group, computed once per group
+    object: the change-point sweep and OrbifoldRing.groups share a few
+    group objects across many degrees."""
+    texts = {}  # by id: the listing holds each group for the call; no text is empty
     return [texts.get(id(group)) or texts.setdefault(id(group), render(group))
-            for _, group in pairs]
+            for group in groups.columns()[1]]
+
+
+def _degrees(groups: GradedGroups, json: bool = False) -> list[str]:
+    """Each listed degree's text, or its JSON text.  A degree in units
+    of 1/ell is formatted from the integer, x/ell in lowest terms (a
+    JSON string); any other is ``str(d)``, or ``degree_json(d)`` in
+    JSON."""
+    degrees, _ = groups.columns()
+    if groups.ell is not None:
+        texts = [_ratio(x, groups.ell) for x in degrees]
+        return [f'"{text}"' for text in texts] if json else texts
+    if json:
+        return [_json(degree_json(d), "") for d in degrees]
+    return list(map(str, degrees))
 
 
 def _write_listing(groups: GradedGroups, newline: str) -> str:
@@ -277,10 +296,9 @@ def _write_listing(groups: GradedGroups, newline: str) -> str:
     entry = newline + "  "
     field = entry + "  "
     head, middle, tail = "{" + field + '"degree": ', "," + field + '"group": ', entry + "}"
-    pairs = groups.items()
-    texts = _rendered(pairs, lambda group: _group_json(group, field))
-    return _array([f"{head}{_json(degree_json(degree), field)}{middle}{text}{tail}"
-                   for (degree, _), text in zip(pairs, texts)], newline)
+    texts = _rendered(groups, lambda group: _group_json(group, field))
+    return _array([f"{head}{degree}{middle}{text}{tail}"
+                   for degree, text in zip(_degrees(groups, json=True), texts)], newline)
 
 
 def _ratios(column, ell: int, latex: bool = False) -> list[str]:
@@ -341,9 +359,12 @@ def _sectors_json(sectors: _Sectors, newline: str) -> str:
 
 
 def _group_json(group, newline: str) -> str:
-    """The JSON text of ``group.to_json()``, written from its fields."""
+    """The JSON text of ``group.to_json()``, written from its fields:
+    each run of equal orders is joined once, and ``_array`` joins the
+    runs with the same separator."""
     inner = newline + "  "
-    torsion = _array(map(str, group.torsion), inner)
+    sep = "," + inner + "  "
+    torsion = _array([sep.join([str(d)] * k) for d, k in group.runs()], inner)
     return f'{{{inner}"free_rank": {group.free_rank},{inner}"torsion": {torsion}{newline}}}'
 
 
@@ -397,12 +418,11 @@ def _join(blocks) -> str:
     return "\n\n".join(block for block in blocks if block)
 
 
-def _listing(groups, header: str) -> list:
-    """header, then a "degree d: group" line per pair of a GradedGroups,
+def _listing(groups: GradedGroups, header: str) -> list:
+    """header, then a "degree d: group" line per entry of a GradedGroups,
     each distinct group formatted once."""
-    pairs = groups.items()
-    names = _rendered(pairs, str)
-    return [header] + [f"  degree {degree}: {name}" for (degree, _), name in zip(pairs, names)]
+    names = _rendered(groups, str)
+    return [header] + [f"  degree {degree}: {name}" for degree, name in zip(_degrees(groups), names)]
 
 
 def _table(rows) -> str:

@@ -19,9 +19,17 @@ L = lcm(Na, Nb), count the pairs of even degrees (i, j):
   tops, each giving Z/g.
 
 Since Z/Na + Z/Nb = Z/g + Z/L, with m = min(s, t) the invariant factors
-are g^(v+m), then Na^(t-m) or Nb^(s-m), then L^m, so each degree costs
-one group.  The summand-by-summand construction is kept as the test
-oracle in ``tests/test_closed_form_oracle.py``.
+are g^(v+m), then Na^(t-m) or Nb^(s-m), then L^m.  At most one of the
+middle runs is non-empty and g | Na, Nb | L, so once every order 1 is
+dropped this is already the canonical chain: each degree's group is
+built from it by ``FgAbGroup._from_chain``, with no canonicalisation.
+The summand-by-summand construction is kept as the test oracle in
+``tests/test_closed_form_oracle.py``, and the canonicalising
+constructor as the oracle of each chain.
+
+Odd degrees hold only the v Tor terms, v >= 1 exactly when
+d >= 2(na + nb) + 3, so the first odd degree with a nonzero group is
+2(na + nb) + 3 when g > 1 and there is none when g = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GradedGroups
-from .arith import as_weights
+from .arith import WeightVector, as_weights
 
 
 @dataclass(frozen=True)
@@ -38,10 +46,19 @@ class ProductGroups:
     """Degree-wise groups of a product of two orbifold rings."""
 
     groups: GradedGroups
+    a: WeightVector
+    b: WeightVector
 
     def odd_torsion_witness(self):
         """Smallest odd degree up to the bound with a nonzero group, or None."""
-        return next((d for d, _ in self.groups.items() if d % 2), None)
+        return _witness(self.a, self.b, self.groups.max_degree)
+
+
+def _witness(wa: WeightVector, wb: WeightVector, max_degree: int):
+    """2(na + nb) + 3 if that degree is within max_degree and
+    gcd(Na, Nb) > 1, else None."""
+    d = 2 * (wa.n + wb.n) + 3
+    return d if d <= max_degree and math.gcd(wa.N, wb.N) > 1 else None
 
 
 def _count(lo: int, hi: int) -> int:
@@ -65,7 +82,9 @@ def product_groups(a, b, max_degree: int) -> ProductGroups:
     wa, wb = as_weights(a), as_weights(b)
     na, nb = wa.n, wb.n
     g, lcm = math.gcd(wa.N, wb.N), math.lcm(wa.N, wb.N)
-    table = {}
+    # a run of the order 1 is the trivial group: such orders are left out
+    gs, las, lbs, lcms = ((x,) if x > 1 else () for x in (g, wa.N, wb.N, lcm))
+    pairs = []
     for d in range(max_degree + 1):
         # pairs (2p, 2q) with p + q = h; the factors are torsion for p > na, q > nb
         h = (d + 1) // 2
@@ -77,9 +96,10 @@ def product_groups(a, b, max_degree: int) -> ProductGroups:
             t = _count(max(na + 1, h - nb), h)
         v = _count(na + 1, h - nb - 1)
         m = min(s, t)
-        orders = [g] * (v + m) + [wa.N] * (t - m) + [wb.N] * (s - m) + [lcm] * m
-        table[d] = FgAbGroup(r, orders)
-    return ProductGroups(GradedGroups(max_degree, table))
+        chain = gs * (v + m) + las * (t - m) + lbs * (s - m) + lcms * m
+        if r or chain:
+            pairs.append((d, FgAbGroup._from_chain(r, chain)))
+    return ProductGroups(GradedGroups(max_degree, pairs), wa, wb)
 
 
 def odd_torsion_witness(a, b, max_degree: int):
@@ -90,4 +110,6 @@ def odd_torsion_witness(a, b, max_degree: int):
     >>> odd_torsion_witness((1, 1), (1, 1), 9) is None
     True
     """
-    return product_groups(a, b, max_degree).odd_torsion_witness()
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    return _witness(as_weights(a), as_weights(b), max_degree)

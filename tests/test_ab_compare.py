@@ -1,12 +1,21 @@
 """``tools/ab_compare.py`` on the smoke corpora."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab_compare.py"
+SUBCOMMANDS = {"kawasaki", "orbifold", "chenruan", "kunneth", "check",
+               "eval:kawasaki", "eval:orbifold", "eval:chenruan"}
+
+_spec = importlib.util.spec_from_file_location("ab_compare", TOOL)
+ab_compare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_compare)
 
 
 def run_tool(base, change, *args):
@@ -24,6 +33,25 @@ def test_repo_against_itself():
     assert all(line.endswith("outputs byte-identical") for line in heads)
     for name in ("ops_per_s", "latency_p50_ms", "latency_p90_ms", "per-op latency ratio"):
         assert proc.stdout.count(name) >= 3, name
+    # one line per workload: the median ratio of each subcommand, eval by ring
+    per_command = [line.split(":", 1)[1] for line in proc.stdout.splitlines()
+                   if line.startswith("  per-subcommand median latency ratio:")]
+    assert len(per_command) == 3
+    names = [{entry.split()[0] for entry in line.split(",")} for line in per_command]
+    assert {"kunneth", "chenruan"} <= names[2]
+    assert all(name in SUBCOMMANDS for line in names for name in line), names
+    assert any(name.startswith("eval:") for name in names[0])
+    for line in per_command:
+        assert all(float(entry.split()[1]) > 0 for entry in line.split(","))
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["eval", "--weights", "1,2", "--ring", "orbifold", "u"], "eval:orbifold"),
+    (["eval", "--ring", "chenruan", "--weights", "1,2", "u"], "eval:chenruan"),
+    (["kunneth", "--weights", "1", "--weights-b", "2"], "kunneth"),
+])
+def test_subcommand_names_eval_by_ring(argv, name):
+    assert ab_compare.subcommand(argv) == name
 
 
 def test_a_changed_output_fails(tmp_path):

@@ -118,3 +118,33 @@ def test_graded_groups_lookup():
         {"degree": "2", "group": {"free_rank": 1, "torsion": []}},
         {"degree": "7/3", "group": {"free_rank": 0, "torsion": [3]}},
     ]
+
+
+def test_units_listing_lookup():
+    # degrees 0 and 7/3 held as the units 0 and 7 of 1/3
+    units = GradedGroups.in_units(Fraction(3), 3, [0, 7], [Z, cyclic(3)])
+    assert units.columns() == ([0, 7], [Z, cyclic(3)])
+    assert units.group(0) == Z and units.group(Fraction(0)) == Z
+    assert units.group(Fraction(7, 3)) == cyclic(3)
+    assert units.group(Fraction(5, 2)) == ZERO  # not a multiple of 1/3
+    assert units.group(2) == ZERO
+    with pytest.raises(ValueError):
+        units.group(Fraction(10, 3))
+    assert units.items() is units.items()  # built once, then held
+    assert units.items() == [(0, Z), (Fraction(7, 3), cyclic(3))]
+    assert all(type(d) is Fraction for d, _ in units.items())
+    by_hand = GradedGroups(Fraction(3), [(Fraction(0), Z), (Fraction(7, 3), cyclic(3))])
+    assert units == by_hand and by_hand.ell is None
+    assert units.to_json() == by_hand.to_json()
+    assert repr(units) == repr(by_hand)
+
+
+@given(groups)
+def test_runs_and_chain_rebuild_the_group(g):
+    runs = g.runs()
+    assert [d for d, _ in runs] == sorted(set(g.torsion))
+    assert tuple(d for d, k in runs for _ in range(k)) == g.torsion
+    assert FgAbGroup._from_chain(g.free_rank, g.torsion) == g
+    assert str(FgAbGroup._from_chain(g.free_rank, g.torsion)) == str(g)
+    parts = ["Z"] * (g.free_rank == 1) + [f"Z^{g.free_rank}"] * (g.free_rank > 1)
+    assert str(g) == (" + ".join(parts + [f"Z/{d}" for d in g.torsion]) or "0")

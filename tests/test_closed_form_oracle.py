@@ -215,10 +215,41 @@ def test_product_groups_matches_summands(a, b, max_degree):
     assert_product_groups_match(a, b, max_degree)
 
 
+# every vector of 1 to 3 weights in 1..6, up to order
+SMALL = [ms for size in range(1, 4) for ms in combinations_with_replacement(range(1, 7), size)]
+
+
+def test_product_groups_chains_are_canonical():
+    """Each group built from its chain equals the canonicalising
+    constructor's group and holds no order below 2, on the whole grid
+    of pairs (the all-ones vectors, with N = g = L = 1, included)."""
+    assert (1,) in SMALL and (1, 1, 1) in SMALL
+    for a in SMALL:
+        for b in SMALL:
+            top = 2 * (len(a) - 1 + len(b) - 1) + 8
+            groups = product_groups(a, b, top).groups
+            for d in range(top + 1):
+                g = groups.group(d)
+                assert g == FgAbGroup(g.free_rank, g.torsion), (a, b, d)
+                assert all(t >= 2 for t in g.torsion), (a, b, d)
+
+
+def scanned_witness(pg):
+    """The first odd degree of the listing: the scan that the closed
+    form replaced."""
+    return next((d for d, _ in pg.groups.items() if d % 2), None)
+
+
 def test_odd_torsion_witness_reads_the_groups():
     assert odd_torsion_witness((1, 2, 3), (2, 3, 4), 80) == 2 * 2 + 2 * 2 + 3
     assert odd_torsion_witness((2, 5), (3, 7), 80) is None
     assert odd_torsion_witness((1, 2), (1, 2), 6) is None
+    for i, a in enumerate(SMALL):
+        for b in SMALL[i % 7::7]:
+            for max_degree in range(2 * (len(a) + len(b)) + 2):
+                pg = product_groups(a, b, max_degree)
+                assert pg.odd_torsion_witness() == scanned_witness(pg), (a, b, max_degree)
+                assert odd_torsion_witness(a, b, max_degree) == scanned_witness(pg)
 
 
 # -- Chen-Ruan graded groups -------------------------------------------------------------
@@ -305,16 +336,25 @@ def test_power_matches_linear_loop(b, k, seed):
 
 
 def test_product_groups_builds_one_group_per_degree(monkeypatch):
-    built = []
-    init = FgAbGroup.__init__
+    """Every group built, through either constructor, is counted, and
+    none takes the canonicalising path."""
+    built, canonicalised = [], []
+    init, from_chain = FgAbGroup.__init__, FgAbGroup._from_chain
 
     def counting_init(self, *args, **kwargs):
         built.append(1)
+        canonicalised.append(1)
         init(self, *args, **kwargs)
 
+    def counting_from_chain(free_rank, chain):
+        built.append(1)
+        return from_chain(free_rank, chain)
+
     monkeypatch.setattr(FgAbGroup, "__init__", counting_init)
+    monkeypatch.setattr(FgAbGroup, "_from_chain", counting_from_chain)
     pg = product_groups((1, 2, 3), (2, 3, 4), 300)
-    assert len(built) <= 301
+    assert 0 < len(built) <= 301
+    assert not canonicalised
     # degree 300 = 2p + 2q: p <= 2 gives Z/24 (3 pairs), q <= 2 gives Z/6
     # (3 pairs), and the 145 pairs above both tops give Z/gcd(6, 24)
     assert pg.groups.group(300) == FgAbGroup(0, [6] * 148 + [24] * 3)

@@ -13,7 +13,8 @@ per sector, both built by the views' per-sector item reader from
 ``_shift_units`` and ``_annihilator`` (no column), and the
 product-relation holder relation by relation.
 The JSON and text views of a graded listing render each distinct group
-once; counting tests pin that.
+once; counting tests pin that.  A Chen-Ruan listing, held in units of
+1/ell, writes what the same listing built from its Fraction pairs writes.
 """
 
 import argparse
@@ -195,6 +196,43 @@ def test_graded_groups_degree_forms(degree):
         assert_same_text(cli._dump_json({"groups": doc}), oracle({"groups": doc}))
         written = json.loads(cli._dump_json(doc))[0]["degree"]
         assert written == (str(degree) if isinstance(degree, Fraction) else degree)
+
+
+def _json_degrees(capsys, argv, key):
+    assert cli.main([*argv, "--format", "json"]) == 0
+    return [entry["degree"] for entry in json.loads(capsys.readouterr().out)[key]]
+
+
+@pytest.mark.parametrize("weights, degrees", [("1", ["0"]), ("1,1", ["0", "2"])])
+def test_chenruan_degrees_are_strings_when_ell_is_one(capsys, weights, degrees):
+    """ell = 1 puts every Chen-Ruan degree at an integer; the listing
+    still writes each one as a string."""
+    argv = ["chenruan", "--weights", weights, "--presentation"]
+    assert _json_degrees(capsys, argv, "graded") == degrees
+
+
+@pytest.mark.parametrize("argv", [
+    ["kawasaki", "--weights", "1,1"],
+    ["orbifold", "--weights", "1,2"],
+    ["kunneth", "--weights", "1,2", "--weights-b", "1,2", "--max-degree", "9"],
+])
+def test_integral_listings_write_int_degrees(capsys, argv):
+    degrees = _json_degrees(capsys, argv, "groups")
+    assert degrees and all(type(d) is int for d in degrees)
+
+
+@pytest.mark.parametrize("b", [(1,), (1, 1), (2, 2), (1, 2), (5, 7, 9)])
+def test_units_listing_writes_as_its_pairs(b):
+    """A listing held in units of 1/ell writes, as JSON and as text,
+    what the same listing built by hand from its Fraction pairs writes."""
+    ring = CrRing(b)
+    listing = ring.graded_dimensions(40)
+    assert listing.ell == ring.ell
+    by_hand = GradedGroups(Fraction(40), list(listing.items()))
+    assert by_hand.ell is None and by_hand == listing
+    assert_same_text(cli._dump_json(listing), cli._dump_json(by_hand))
+    assert_same_text(cli._dump_json(listing), oracle(listing))
+    assert cli._listing(listing, "h") == cli._listing(by_hand, "h")
 
 
 def _count_group_renders(monkeypatch, capsys, max_degree):

@@ -22,10 +22,12 @@ pass is untimed.
 Per workload it prints, for each side, ``ops_per_s``, ``latency_p50_ms``
 and ``latency_p90_ms`` as ``perfbench/run.py`` defines them (from each
 operation's mean latency over the timed passes), then the change/base
-ratio of each figure and the median and quartiles of the per-operation
-latency ratios.  The host's speed drifts more between two runs than
-between the two calls of a pair, so these ratios are steadier than a
-comparison of two separate runs.
+ratio of each figure, the median and quartiles of the per-operation
+latency ratios, and the median of those ratios per subcommand (``eval``
+split by its ``--ring``), so a gain shows where it lands.  The host's
+speed drifts more between two runs than between the two calls of a
+pair, so these ratios are steadier than a comparison of two separate
+runs.
 
 It measures neither ``peak_rss_mb`` nor ``setup_s``: both trees share
 one process, so neither figure belongs to one side.  A change still
@@ -111,7 +113,14 @@ def quartiles(values):
     return low, median, high
 
 
-def report(bench, workload, samples) -> list[str]:
+def subcommand(argv) -> str:
+    """The subcommand of argv, with ``eval``'s ring: ``eval:orbifold``."""
+    if argv[0] == "eval" and "--ring" in argv:
+        return f"eval:{argv[argv.index('--ring') + 1]}"
+    return argv[0]
+
+
+def report(bench, workload, ops, samples) -> list[str]:
     means = {side: [statistics.fmean(s) for s in samples[side]] for side in SIDES}
     stats = {side: figures(bench, means[side]) for side in SIDES}
     lines = [f"{workload}: {len(means['base'])} ops, outputs byte-identical"]
@@ -125,6 +134,12 @@ def report(bench, workload, samples) -> list[str]:
     ratios = [c / b for b, c in zip(means["base"], means["change"])]
     low, median, high = quartiles(ratios)
     lines.append(f"  per-op latency ratio: median {median:.3f}, quartiles {low:.3f}-{high:.3f}")
+    by_command = {}
+    for op, ratio in zip(ops, ratios):
+        by_command.setdefault(subcommand(op.argv), []).append(ratio)
+    lines.append("  per-subcommand median latency ratio:" + ",".join(
+        f" {name} {statistics.median(values):.3f}" for name, values in sorted(by_command.items())
+    ))
     return lines
 
 
@@ -152,7 +167,7 @@ def main(argv=None) -> int:
         if differs is not None:
             print(f"{workload}: the two sides differ on {' '.join(differs)}")
             return 1
-        print("\n".join(report(bench, workload, samples)), flush=True)
+        print("\n".join(report(bench, workload, ops, samples)), flush=True)
     return 0
 
 
