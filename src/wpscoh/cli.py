@@ -52,8 +52,11 @@ and the torsion witness, so a LaTeX document does not compute them.
 ``main`` is the only place that prints a result or picks the exit code.
 
 ``main`` builds its argument parser on its first call and reuses it for
-every later call in the process, so an in-process caller pays for
-argparse once.
+every later call in the process, so an in-process caller builds it
+once.  Each call is parsed by its subcommand's own parser (``_parse``),
+with no pass of the top-level parser; an argv that does not start with
+a subcommand's name goes through the top-level parser, so every usage
+and help message, and every exit code, is argparse's own.
 
 Inputs whose output or work would grow without bound exit 2 with a
 one-line message.  ``cli`` holds the limits of its own input and
@@ -279,13 +282,14 @@ def _rendered(groups: GradedGroups, render) -> list:
 def _degrees(groups: GradedGroups, json: bool = False) -> list[str]:
     """Each listed degree's text, or its JSON text.  A degree in units
     of 1/ell is formatted from the integer, x/ell in lowest terms (a
-    JSON string); any other is ``str(d)``, or ``degree_json(d)`` in
-    JSON."""
+    JSON string); any other is ``str(d)``, which is also the JSON text
+    of an int, or ``degree_json(d)`` in JSON when the listing holds a
+    degree of another type."""
     degrees, _ = groups.columns()
     if groups.ell is not None:
         texts = [_ratio(x, groups.ell) for x in degrees]
         return [f'"{text}"' for text in texts] if json else texts
-    if json:
+    if json and not set(map(type, degrees)) <= {int}:
         return [_json(degree_json(d), "") for d in degrees]
     return list(map(str, degrees))
 
@@ -820,11 +824,33 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_degree=False)
     p.set_defaults(func=_cmd_check, text=_check_text, latex=_check_text)
 
+    top.commands = sub.choices  # each subcommand's parser, by name
     return top
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The namespace that ``_build_parser().parse_args(argv)`` gives.
+
+    An argv that starts with a subcommand's name is parsed by that
+    subcommand's parser, as argparse's subparsers action would hand it
+    on, and its extras are reported by the top parser, as ``parse_args``
+    reports them.  Any other argv (none, help, an unknown name, an
+    option first) goes through the top parser.
+    """
+    top = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = top.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return top.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         doc = args.func(args)
         ok = doc.get("ok", True)

@@ -129,9 +129,10 @@ class KawasakiRing(Algebra):
     # -- graded structure ----------------------------------------------------
 
     def groups(self, max_degree: int) -> GradedGroups:
-        """Z in each even degree 2k with k <= n, zero otherwise."""
+        """Z in each even degree 2k with k <= n, zero otherwise, handed to
+        ``GradedGroups`` as sorted nonzero pairs."""
         top = min(max_degree, 2 * self.weights.n)
-        return GradedGroups(max_degree, {d: Z for d in range(0, top + 1, 2)})
+        return GradedGroups(max_degree, [(d, Z) for d in range(0, top + 1, 2)])
 
     # -- comparison map into the orbifold ring --------------------------------
 

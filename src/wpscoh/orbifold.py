@@ -101,18 +101,19 @@ class OrbifoldRing(Algebra):
         return Z if d // 2 <= self.weights.n else cyclic(self.N)
 
     def groups(self, max_degree: int) -> GradedGroups:
-        """The groups up to max_degree: the two nonzero ones, Z and Z/N,
-        are built once and shared by every even degree.
+        """The groups up to max_degree: Z in the even degrees up to 2n and
+        Z/N in those beyond (none when N = 1), each built once and shared,
+        handed to ``GradedGroups`` as sorted nonzero pairs.
 
         >>> OrbifoldRing((1, 2)).groups(7)
         GradedGroups(max_degree=7, {0: Z, 2: Z, 4: Z/2, 6: Z/2})
         """
         top = cyclic(self.N)
-        n = self.weights.n
-        return GradedGroups(
-            max_degree,
-            {d: Z if d // 2 <= n else top for d in range(0, max_degree + 1, 2)},
-        )
+        free = 2 * self.weights.n
+        pairs = [(d, Z) for d in range(0, min(free, max_degree) + 1, 2)]
+        if not top.is_zero:
+            pairs += [(d, top) for d in range(free + 2, max_degree + 1, 2)]
+        return GradedGroups(max_degree, pairs)
 
     # -- misc --------------------------------------------------------------
 

@@ -21,6 +21,8 @@ from wpscoh.kunneth import ProductGroups
 from wpscoh.orbifold import OrbifoldRing
 from wpscoh.verify import CheckResult
 
+from test_golden import ALL_GOLDEN
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -659,6 +661,51 @@ def test_shared_parser_leaks_no_state_between_calls():
     for argv, want in zip(_LEAK_SEQUENCE, expected):
         assert _call(argv) == want, argv
     assert cli._build_parser() is parser
+
+
+# argv whose parse is decided by argparse's edge cases: help, abbreviated
+# names and options, extras, option-like positionals, "--", repeated
+# options, missing arguments and options before the subcommand
+_DISPATCH_EDGES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["eval", "-h"],
+    ["kunneth", "--help"],
+    ["kaw", "--weights", "1,2"],
+    ["nowhere", "--weights", "1,2"],
+    ["kawasaki", "--wei", "1,2"],
+    ["kawasaki", "--weights=1,2"],
+    ["kawasaki", "--weights", "1,2", "extra", "more"],
+    ["kawasaki", "--weights", "1,2", "--bogus", "x"],
+    ["eval", "--weights", "1,2", "--ring", "orbifold", "u", "extra"],
+    ["eval", "--weights", "1,2", "--ring", "orbifold", "-u"],
+    ["eval", "--weights", "1,2", "--ring", "orbifold", "--", "-u"],
+    ["eval", "--weights", "1,2", "--ring", "kawasaki", "-g1^3"],
+    ["--", "kawasaki", "--weights", "1,2"],
+    ["kawasaki", "--weights", "1,2", "--weights", "1,3"],
+    ["chenruan", "--weights", "1,2", "--sectors", "--sectors", "--format", "json"],
+    ["kawasaki"],
+    ["eval", "--weights", "1,2", "--ring", "orbifold"],
+    ["--weights", "1,2", "kawasaki"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", _DISPATCH_EDGES + [list(argv) for argv, _ in ALL_GOLDEN], ids=" ".join
+)
+def test_subcommand_dispatch_matches_the_top_level_parse(monkeypatch, argv):
+    """main parses with the subcommand's own parser; the top-level
+    parse_args, which hands argv on through the subparsers action, is
+    its oracle: the same exit code, stdout and stderr."""
+    got = _call(argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv))
+    assert got == _call(argv)
+
+
+def test_subcommand_dispatch_reads_sys_argv(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["wpscoh", "eval", "--weights", "1,2", "--ring", "orbifold", "u"])
+    assert _call(None) == (0, "u\ndegree: 2\n", "")
 
 
 def test_usage_error_goes_to_the_current_stderr(capsys):
