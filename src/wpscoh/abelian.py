@@ -23,12 +23,21 @@ constructor is its test oracle.  A chain holds few distinct orders
 is written from its runs (``FgAbGroup.runs``): each distinct order is
 formatted once and its text repeated.
 
-A ``GradedGroups`` listing holds its degrees as given (ints, or
-Fractions), or, for the Chen-Ruan grading, as integers in units of
-1/ell (``GradedGroups.in_units``), which a writer formats straight from
-the integer.  Such a listing builds its ``Fraction`` degrees only when
-``items`` or ``to_json`` is called, and ``group`` turns the degree it
-is asked for into units.
+A ``GradedGroups`` listing has one form: two parallel lists, the
+degrees as sorted integers in units of 1/ell and the nonzero group at
+each.  It is rational exactly when its ``max_degree`` is a Fraction (the
+Chen-Ruan listing); otherwise ell is 1 and the degrees are the ints.  A
+writer formats each degree straight from its integer, ``items`` and
+``to_json`` build the degrees (Fractions, in a rational listing) on each
+call, and ``group`` turns the degree it is asked for into units.
+
+The three rings' groups have one shape (Chen and Ruan, 2004): each
+summand (s, c, d) adds Z in the degrees (s + 2 ell m) / ell for m < d,
+then Z/c.  ``GradedGroups.sweep`` builds every such listing from its
+change points, one group per point: the Chen-Ruan listing from its
+nonzero sectors, the orbifold ring from the identity sector (0, N,
+n + 1) and the coarse ring from (0, 1, n + 1).  The Kunneth listing,
+which is no sum of such summands, hands in its two lists itself.
 """
 
 from __future__ import annotations
@@ -52,8 +61,8 @@ def _invariant_factors(orders) -> tuple[int, ...]:
     >>> _invariant_factors([])
     ()
     """
-    factors = sorted(d for d in orders if d > 1)
-    if all(b % a == 0 for a, b in zip(factors, factors[1:])):
+    factors = sorted([d for d in orders if d > 1])
+    if len(factors) < 2 or all(b % a == 0 for a, b in zip(factors, factors[1:])):
         return tuple(factors)
     counts = Counter(factors)
     chain: list[int] = []  # largest invariant factor first
@@ -101,7 +110,7 @@ class FgAbGroup:
             else:
                 orders.append(d)
         self.free_rank = free_rank
-        self.torsion = _invariant_factors(orders)
+        self.torsion = _invariant_factors(orders) if orders else ()
 
     @classmethod
     def _from_chain(cls, free_rank: int, chain: tuple) -> "FgAbGroup":
@@ -220,74 +229,104 @@ class GradedGroups:
 
     Degrees absent from the listing but not exceeding ``max_degree`` are
     the zero group; degrees beyond the bound were never computed and
-    asking for them is an error.  groups is a dict {degree: group},
-    whose zero groups are dropped and whose degrees are sorted here, or
-    (degree, group) pairs that are already sorted by degree and nonzero,
-    held as given.  Degrees are ints, or Fractions.
+    asking for them is an error.  The listing holds two parallel lists:
+    ``degrees``, sorted integers in units of 1/ell, and ``groups``, the
+    nonzero group at each.  A caller reads them and does not change them.
 
-    ``in_units`` builds the Chen-Ruan listing: its degrees are integers
-    in units of 1/ell, held with ell and not as Fractions.  Either way
-    the listing holds two parallel columns, ``columns()``: the degrees
-    (as given, or in units when ``ell`` is set) and the groups.
-    ``items``, ``group`` and ``to_json`` take and give degrees as ints
-    or Fractions, so a units listing builds its Fractions on the first
-    call of ``items`` and keeps them.
+    One rule decides the degree form (``rational``): a listing is rational
+    exactly when its ``max_degree`` is a Fraction, and its degrees are
+    then the Fractions units / ell; otherwise ell is 1 and the degrees are
+    the ints themselves.
+
+    >>> GradedGroups(Fraction(3), [0, 7], [Z, cyclic(3)], 3)
+    GradedGroups(max_degree=3, {0: Z, 7/3: Z/3})
     """
 
-    __slots__ = ("max_degree", "ell", "_degrees", "_groups", "_pairs")
+    __slots__ = ("max_degree", "degrees", "groups", "ell")
 
-    def __init__(self, max_degree, groups=()):
+    def __init__(self, max_degree, degrees: list, groups: list, ell: int = 1):
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
-        self.max_degree = max_degree
-        self.ell = None
-        if isinstance(groups, dict):
-            groups = [(d, groups[d]) for d in sorted(groups) if not groups[d].is_zero]
-        self._pairs = list(groups)
-        self._degrees = [d for d, _ in self._pairs]
-        self._groups = [g for _, g in self._pairs]
+        self.max_degree, self.degrees, self.groups, self.ell = max_degree, degrees, groups, ell
 
     @classmethod
-    def in_units(cls, max_degree, ell: int, units: list, groups: list) -> "GradedGroups":
-        """The listing with degree units[i] / ell holding groups[i]; units
-        are sorted ints and the groups nonzero, held as given.
+    def sweep(cls, max_degree, ell: int, summands) -> "GradedGroups":
+        """The listing up to max_degree of a sum of summands (s, c, d), each
+        Z in the degrees (s + 2 ell m) / ell for m < d and Z/c in those for
+        m >= d.
 
-        >>> GradedGroups.in_units(Fraction(3), 3, [0, 7], [Z, cyclic(3)])
-        GradedGroups(max_degree=3, {0: Z, 7/3: Z/3})
+        A summand's degrees lie in the class of s mod 2 ell, in units of
+        1/ell, so each class is swept on its own.  In a class the group
+        changes only at the change points s, where a Z starts, and
+        s + 2 ell d, where that Z becomes Z/c.  One group is built per
+        change point and shared by every degree up to the next, so the
+        cost grows with the summands, not with max_degree.  Equal groups
+        are one object, across the classes too, so a listing that renders
+        each group object once renders each value once.  The degrees are
+        sorted only when there is more than one class.
+
+        >>> GradedGroups.sweep(7, 1, [(0, 2, 2)])
+        GradedGroups(max_degree=7, {0: Z, 2: Z, 4: Z/2, 6: Z/2})
+        >>> GradedGroups.sweep(Fraction(3), 2, [(0, 2, 1), (1, 1, 1)])
+        GradedGroups(max_degree=3, {0: Z, 1/2: Z, 2: Z/2})
         """
-        listing = cls(max_degree)
-        listing.ell, listing._degrees, listing._groups = ell, units, groups
-        listing._pairs = None
-        return listing
+        period = 2 * ell
+        stop = max_degree.numerator * ell // max_degree.denominator + 1  # past the bound, in units
+        classes: dict = {}  # per class mod period: (change point, free-rank step, torsion order)
+        for s, c, d in summands:
+            classes.setdefault(s % period, []).extend(((s, 1, 1), (s + period * d, -1, c)))
+        degrees, groups, shared = [], [], {}
+        for points in classes.values():
+            points.sort()
+            points.append((stop, 0, 1))  # the end of the last run, when it is below the bound
+            free, orders = 0, []
+            for (x, step, c), (end, _, _) in zip(points, points[1:]):
+                if x >= stop:
+                    break
+                free += step
+                if c > 1:
+                    orders.append(c)
+                if x < end and (free or orders):
+                    group = FgAbGroup(free, orders)
+                    group = shared.setdefault(group, group)
+                    run = range(x, min(end, stop), period)
+                    degrees += run
+                    groups += [group] * len(run)
+        if len(classes) > 1:
+            order = sorted(range(len(degrees)), key=degrees.__getitem__)
+            degrees = list(map(degrees.__getitem__, order))
+            groups = list(map(groups.__getitem__, order))
+        return cls(max_degree, degrees, groups, ell)
 
-    def columns(self) -> tuple:
-        """(degrees, groups), the held parallel lists of the nonzero
-        entries sorted by degree; the degrees are in units of 1/ell when
-        ``ell`` is set.  A caller reads them and does not change them."""
-        return self._degrees, self._groups
+    @property
+    def rational(self) -> bool:
+        """Whether the degrees are Fractions: exactly when max_degree is one,
+        that is, not an int."""
+        return not isinstance(self.max_degree, int)
 
     def group(self, degree) -> FgAbGroup:
         if degree > self.max_degree:
             raise ValueError(f"degree {degree} exceeds the computed bound {self.max_degree}")
-        if self.ell is not None:
-            degree = Fraction(degree) * self.ell
-            if degree.denominator != 1:
+        units = degree * self.ell
+        if isinstance(units, Fraction):
+            if units.denominator != 1:
                 return ZERO
-            degree = degree.numerator
-        degrees = self._degrees
-        i = bisect_left(degrees, degree)
-        return self._groups[i] if i < len(degrees) and degrees[i] == degree else ZERO
+            units = units.numerator
+        degrees = self.degrees
+        i = bisect_left(degrees, units)
+        return self.groups[i] if i < len(degrees) and degrees[i] == units else ZERO
 
     def items(self) -> list:
-        """Nonzero (degree, group) pairs, sorted by degree: the held
-        list itself, which a caller reads and does not change."""
-        if self._pairs is None:
-            degrees = map(Fraction, self._degrees, repeat(self.ell))
-            self._pairs = list(zip(degrees, self._groups))
-        return self._pairs
+        """Nonzero (degree, group) pairs, sorted by degree, as a new list."""
+        if self.rational:
+            return list(zip(map(Fraction, self.degrees, repeat(self.ell)), self.groups))
+        return list(zip(self.degrees, self.groups))
 
     def to_json(self) -> list:
-        return [{"degree": degree_json(d), "group": g.to_json()} for d, g in self.items()]
+        """Each entry as {"degree", "group"}: a rational listing's degree as
+        the string ``str(d)`` (``"2"``, ``"7/3"``), any other as the int."""
+        form = str if self.rational else int
+        return [{"degree": form(d), "group": g.to_json()} for d, g in self.items()]
 
     def __eq__(self, other):
         if isinstance(other, GradedGroups):
@@ -297,13 +336,3 @@ class GradedGroups:
     def __repr__(self):
         body = ", ".join(f"{d}: {g}" for d, g in self.items())
         return f"GradedGroups(max_degree={self.max_degree}, {{{body}}})"
-
-
-def degree_json(d):
-    """The JSON form of a listing's degree: a Fraction as the string
-    ``str(d)`` (``"2"``, ``"7/3"``), an int as the int.
-
-    >>> degree_json(Fraction(7, 3)), degree_json(Fraction(2)), degree_json(2)
-    ('7/3', '2', 2)
-    """
-    return str(d) if isinstance(d, Fraction) else d

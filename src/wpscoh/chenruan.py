@@ -73,10 +73,10 @@ structure constants a_i a_j = coeff u^power a_{i+j} from
 
 The graded groups follow from the Euler data alone.  Sector j adds Z in
 degrees s_j + 2 ell m (in units of 1/ell) while m < d_j, and Z/c_j in
-every such degree after that.  Within one class of degrees mod 2 the
-group changes only at those 2 * |nonzero| change points, so
-``CrRing.graded_dimensions`` sweeps the integer degrees of each class
-and builds one group per change point.
+every such degree after that: the summand (s_j, c_j, d_j) of
+``abelian.GradedGroups.sweep``, the one builder of every graded listing.
+``CrRing.graded_dimensions`` hands it the nonzero sectors, and the
+sweep builds one group per change point in each class of degrees mod 2.
 
 The lemma that lets products, presentations and scans skip the zero
 sectors: if sector i fixes no coordinate, every row whose p divides i+j
@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, eq
 
-from .abelian import FgAbGroup, GradedGroups
+from .abelian import GradedGroups
 from .algebra import Algebra, Element, monomial, u_power
 from .arith import WeightVector, as_weights
 
@@ -393,68 +393,22 @@ class CrRing(Algebra):
     # -- grading ------------------------------------------------------------------
 
     def graded_dimensions(self, max_degree) -> GradedGroups:
-        """The groups up to max_degree, as a ``GradedGroups`` whose
-        degrees are Fractions, held in units of 1/ell.
+        """The groups up to max_degree, as a rational ``GradedGroups`` in
+        units of 1/ell.
 
         Sector j contributes Z at degree shift_j + 2m while m < d_j and
         Z/c_j once m >= d_j; sectors whose generator is zero contribute
-        nothing, so only the nonzero sectors are visited.
-
-        The sweep runs in integer units of 1/ell.  A sector's degrees
-        s_j + 2 ell m (s_j from ``_shift_units``) lie in the class of
-        s_j mod 2 ell, so each class is swept on its own.  In a class
-        the group changes only at the change points s_j, where a Z
-        starts, and s_j + 2 ell d_j, where that Z becomes Z/c_j.  One
-        group is built per change point and shared by every degree up
-        to the next, so the cost grows with the nonzero sectors, not
-        with max_degree.  The listing keeps each degree in units of 1/ell
-        (``GradedGroups.in_units``); a Fraction is built only if a caller
-        asks for ``items``.
-        Equal groups of different classes are one object, so a listing
-        that renders each group object once renders each value once.
+        nothing, so only the nonzero sectors are handed to the change-point
+        sweep (``GradedGroups.sweep``), each as its shift in units of 1/ell
+        (``_shift_units``) and its Euler data.
 
         >>> CrRing((1, 2)).graded_dimensions(3)
         GradedGroups(max_degree=3, {0: Z, 1: Z, 2: Z, 3: Z/2})
         >>> CrRing((2, 2)).graded_dimensions(4).items()[-1]
         (Fraction(4, 1), FgAbGroup(0, (4, 4)))
         """
-        max_degree = Fraction(max_degree)
-        if max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-        ell = self.ell
-        period = 2 * ell
-        last = max_degree.numerator * ell // max_degree.denominator  # in units of 1/ell
-        # per class mod 2 ell: {change point: [free-rank step, new torsion orders]}
-        classes: dict = {}
-        for j in self.nonzero:
-            s = self._shift_units(j)
-            c, d = self._annihilator(j)
-            points = classes.setdefault(s % period, {})
-            points.setdefault(s, [0, []])[0] += 1
-            end = points.setdefault(s + period * d, [0, []])
-            end[0] -= 1
-            if c > 1:
-                end[1].append(c)
-        units, groups = [], []  # each listed degree in units of 1/ell, and its group
-        shared = {}  # one object per distinct group, across the classes
-        for points in classes.values():
-            free, orders = 0, []
-            changes = sorted(points)
-            for x, stop in zip(changes, changes[1:] + [last + 1]):
-                if x > last:
-                    break
-                step, new = points[x]
-                free += step
-                orders += new
-                if free or orders:
-                    group = FgAbGroup(free, orders)
-                    group = shared.setdefault(group, group)
-                    run = range(x, min(stop, last + 1), period)
-                    units += run
-                    groups += [group] * len(run)
-        order = sorted(range(len(units)), key=units.__getitem__)
-        units = list(map(units.__getitem__, order))
-        return GradedGroups.in_units(max_degree, ell, units, list(map(groups.__getitem__, order)))
+        summands = [(self._shift_units(j), *self._annihilator(j)) for j in self.nonzero]
+        return GradedGroups.sweep(Fraction(max_degree), self.ell, summands)
 
     # -- comparison -------------------------------------------------------------------
 

@@ -17,13 +17,13 @@ that ``_WRITERS`` holds for its type; a value of any other type raises
 ``TypeError``.  Every array, of a list or of a library value, is written
 by ``_array`` from its item texts, which also writes the empty ``[]``.
 Every graded listing, the Chen-Ruan one included, is a ``GradedGroups``
-written by ``_write_listing``: each degree in the form that
-``abelian.degree_json`` gives it (an int as a number, a Fraction as
-its string ``str(d)``), and each distinct group rendered once through
-``_rendered``, as the text listings (``_listing``) format it once.
-The Chen-Ruan listing holds its degrees in units of 1/ell, and
-``_degrees`` formats each from the integer (``_ratio``), with no
-``Fraction``.  A group is written from its runs of equal orders
+written by ``_write_listing``, each distinct group rendered once
+through ``_rendered``, as the text listings (``_listing``) format it
+once.  Every listing holds its degrees as integers in units of 1/ell,
+and ``_degrees`` formats each from the integer with no ``Fraction``:
+in a rational listing (``GradedGroups.rational``, the Chen-Ruan one) as
+x/ell in lowest terms (``_ratio``), a JSON string, and in any other as
+the int.  A group is written from its runs of equal orders
 (``FgAbGroup.runs``), each order formatted once: a Kunneth group at
 degree D holds about D/2 copies of Z/g.
 
@@ -61,19 +61,20 @@ and help message, and every exit code, is argparse's own.
 Inputs whose output or work would grow without bound exit 2 with a
 one-line message.  ``cli`` holds the limits of its own input and
 output: more than ``MAX_WEIGHTS`` weights in one vector, a
-``--max-degree`` above ``MAX_DEGREE_LIMIT``, and a sector chart,
-presentation or ``check`` for ell above ``chenruan.DENSE_SECTOR_LIMIT``.
-The chart and the presentation list all ell sectors; ``check`` reads
-only the residues mod ell / b and the nonzero pairs but keeps the same
-rule on ell, and the message names that rule and ell.  The work it
-calls refuses itself: a sector ring for ``chenruan`` or ``eval`` that would index more
-than ``chenruan.DENSE_SECTOR_LIMIT`` nonzero sectors (``CrRing``), a
-presentation, multiplication table or ``check`` with more than
-``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors
-(``CrRing.presentation``, ``verify.run_checks``), and an ``eval``
-product of more than ``algebra.MAX_PRODUCT_PAIRS`` monomial pairs.  So
-each call builds its sector table once, and the refusals come in that
-order: dense, index, products, then ``--max-degree``.
+``--max-degree`` above ``MAX_DEGREE_LIMIT``, and a sector chart or
+presentation, which list all ell sectors, for ell above
+``chenruan.DENSE_SECTOR_LIMIT``; the message names that rule and ell.
+The work it calls refuses itself: a ``check`` whose residues mod
+ell / b sum above ``verify.RESIDUE_LIMIT`` (``verify.run_checks``,
+before any ring is built), a sector ring for ``chenruan``, ``eval`` or
+``check`` that would index more than ``chenruan.DENSE_SECTOR_LIMIT``
+nonzero sectors (``CrRing``), a presentation, multiplication table or
+``check`` with more than ``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero
+twisted sectors (``CrRing.presentation``, ``verify.run_checks``), and
+an ``eval`` product of more than ``algebra.MAX_PRODUCT_PAIRS`` monomial
+pairs.  So each call builds its sector table once, and the refusals
+come in that order: dense or residues, index, products, then
+``--max-degree``.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import chenruan
-from .abelian import GradedGroups, degree_json
+from .abelian import GradedGroups
 from .algebra import monomial, u_power
 from .arith import WeightVector
 from .chenruan import CrElement, CrRing, GeneratorUnits, KernelRelations, _Sectors
@@ -108,12 +109,12 @@ MAX_WEIGHTS = 64
 MAX_DEGREE_LIMIT = 4000
 
 
-def _require_dense(weights: WeightVector, what: str) -> None:
-    """Refuse what (the sector chart or presentation, or check) for ell
-    above ``chenruan.DENSE_SECTOR_LIMIT``: the rule is on ell, whatever
-    the query reads.  The message names the sparse queries whose own
-    limits the weights pass: eval needs the sector ring's index bound,
-    chenruan --multtable its product limit too."""
+def _require_dense(weights: WeightVector) -> None:
+    """Refuse the sector chart and the presentation, which list all ell
+    sectors, for ell above ``chenruan.DENSE_SECTOR_LIMIT``.  The message
+    names the sparse queries whose own limits the weights pass: eval
+    needs the sector ring's index bound, chenruan --multtable its product
+    limit too."""
     limit = chenruan.DENSE_SECTOR_LIMIT
     if weights.ell > limit:
         sparse = ""
@@ -123,7 +124,8 @@ def _require_dense(weights: WeightVector, what: str) -> None:
             ring._require_products("")
             sparse = "; chenruan --multtable and eval still work"
         raise ValueError(
-            f"{what} needs ell within the limit of {limit}, got ell = {weights.ell}{sparse}"
+            "the sector chart or presentation needs ell within the limit of "
+            f"{limit}, got ell = {weights.ell}{sparse}"
         )
 
 
@@ -180,10 +182,11 @@ def _ratio(p: int, q: int, latex: bool = False) -> str:
     return (r"\frac{%d}{%d}" if latex else "%d/%d") % (p // g, q // g)
 
 
-def _max_degree(args, n: int) -> Fraction:
-    """--max-degree if given (0 included), else 2(n+2) for dimension n."""
+def _max_degree(args, n: int):
+    """--max-degree if given (0 included), a Fraction, else the int
+    2(n+2) for dimension n."""
     if args.max_degree is None:
-        return Fraction(2 * (n + 2))
+        return 2 * (n + 2)
     if args.max_degree > MAX_DEGREE_LIMIT:
         raise ValueError(
             f"--max-degree {args.max_degree} is above the limit of {MAX_DEGREE_LIMIT}"
@@ -272,31 +275,26 @@ def _array(items, newline: str) -> str:
 
 def _rendered(groups: GradedGroups, render) -> list:
     """render(group) for each listed group, computed once per group
-    object: the change-point sweep and OrbifoldRing.groups share a few
-    group objects across many degrees."""
+    object: the change-point sweep shares one group object across the
+    many degrees up to its next change point."""
     texts = {}  # by id: the listing holds each group for the call; no text is empty
     return [texts.get(id(group)) or texts.setdefault(id(group), render(group))
-            for group in groups.columns()[1]]
+            for group in groups.groups]
 
 
 def _degrees(groups: GradedGroups, json: bool = False) -> list[str]:
-    """Each listed degree's text, or its JSON text.  A degree in units
-    of 1/ell is formatted from the integer, x/ell in lowest terms (a
-    JSON string); any other is ``str(d)``, which is also the JSON text
-    of an int, or ``degree_json(d)`` in JSON when the listing holds a
-    degree of another type."""
-    degrees, _ = groups.columns()
-    if groups.ell is not None:
-        texts = [_ratio(x, groups.ell) for x in degrees]
+    """Each listed degree's text, or its JSON text, formatted from its
+    integer units: a rational listing's as x/ell in lowest terms (a JSON
+    string), any other's as the int."""
+    if groups.rational:
+        texts = [_ratio(x, groups.ell) for x in groups.degrees]
         return [f'"{text}"' for text in texts] if json else texts
-    if json and not set(map(type, degrees)) <= {int}:
-        return [_json(degree_json(d), "") for d in degrees]
-    return list(map(str, degrees))
+    return list(map(str, groups.degrees))
 
 
 def _write_listing(groups: GradedGroups, newline: str) -> str:
-    """The JSON text of ``groups.to_json()``: each degree in the form
-    ``degree_json`` gives it, each distinct group rendered once."""
+    """The JSON text of ``groups.to_json()``, each distinct group
+    rendered once."""
     entry = newline + "  "
     field = entry + "  "
     head, middle, tail = "{" + field + '"degree": ', "," + field + '"group": ', entry + "}"
@@ -513,7 +511,7 @@ def _cmd_chenruan(args) -> dict:
     sections = {s for s in ("sectors", "presentation", "multtable") if getattr(args, s)}
     sections = sections or {"sectors", "presentation"}
     if sections & {"sectors", "presentation"}:
-        _require_dense(args.weights, "the sector chart or presentation")
+        _require_dense(args.weights)
     ring = CrRing(args.weights)
     # the product relations are the multiplication table; the presentation
     # refuses too many products before --max-degree is read
@@ -738,7 +736,6 @@ def _eval_latex(doc) -> str:
 
 
 def _cmd_check(args) -> dict:
-    _require_dense(args.weights, "check")
     results = run_checks(args.weights)
     return {"weights": args.weights, "ok": all(r.passed for r in results), "results": results}
 

@@ -1,9 +1,11 @@
 """Singular cohomology ring of the coarse space of a weighted projective
 quotient.
 
-Additively a copy of Z in each even degree 0, 2, ..., 2n, but the cup
-product is twisted: with one generator per even degree, products carry
-integer structure constants built from the subset-lcm table
+Additively a copy of Z in each even degree 0, 2, ..., 2n, the
+change-point sweep (``abelian.GradedGroups.sweep``) of the one summand
+(0, 1, n + 1), but the cup product is twisted: with one generator per
+even degree, products carry integer structure constants built from the
+subset-lcm table
 
     ell_k = lcm{ b_{i_0}...b_{i_k} / gcd(b_{i_0},...,b_{i_k}) }
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import GradedGroups, Z
+from .abelian import GradedGroups
 from .algebra import Algebra, Element
 from .arith import as_weights, coprime_base, valuation
 from .orbifold import OrbifoldElement, OrbifoldRing
@@ -129,10 +131,9 @@ class KawasakiRing(Algebra):
     # -- graded structure ----------------------------------------------------
 
     def groups(self, max_degree: int) -> GradedGroups:
-        """Z in each even degree 2k with k <= n, zero otherwise, handed to
-        ``GradedGroups`` as sorted nonzero pairs."""
-        top = min(max_degree, 2 * self.weights.n)
-        return GradedGroups(max_degree, [(d, Z) for d in range(0, top + 1, 2)])
+        """Z in each even degree 2k with k <= n, zero otherwise: the
+        change-point sweep of the one summand (0, 1, n + 1)."""
+        return GradedGroups.sweep(max_degree, 1, [(0, 1, self.weights.n + 1)])
 
     # -- comparison map into the orbifold ring --------------------------------
 

@@ -84,7 +84,7 @@ def product_groups(a, b, max_degree: int) -> ProductGroups:
     g, lcm = math.gcd(wa.N, wb.N), math.lcm(wa.N, wb.N)
     # a run of the order 1 is the trivial group: such orders are left out
     gs, las, lbs, lcms = ((x,) if x > 1 else () for x in (g, wa.N, wb.N, lcm))
-    pairs = []
+    degrees, groups = [], []
     for d in range(max_degree + 1):
         # pairs (2p, 2q) with p + q = h; the factors are torsion for p > na, q > nb
         h = (d + 1) // 2
@@ -98,8 +98,9 @@ def product_groups(a, b, max_degree: int) -> ProductGroups:
         m = min(s, t)
         chain = gs * (v + m) + las * (t - m) + lbs * (s - m) + lcms * m
         if r or chain:
-            pairs.append((d, FgAbGroup._from_chain(r, chain)))
-    return ProductGroups(GradedGroups(max_degree, pairs), wa, wb)
+            degrees.append(d)
+            groups.append(FgAbGroup._from_chain(r, chain))
+    return ProductGroups(GradedGroups(max_degree, degrees, groups), wa, wb)
 
 
 def odd_torsion_witness(a, b, max_degree: int):

@@ -7,6 +7,10 @@ every even degree above 2n.
 
 In the shape of ``algebra``: a Z[u]-module on the one basis element 1,
 in degree 0, with annihilator N u^{n+1} and structure constant 1 * 1 = 1.
+
+Its groups are those of the Chen-Ruan identity sector: the listing is
+the change-point sweep (``abelian.GradedGroups.sweep``) of the one
+summand (0, N, n + 1).
 """
 
 from __future__ import annotations
@@ -101,19 +105,14 @@ class OrbifoldRing(Algebra):
         return Z if d // 2 <= self.weights.n else cyclic(self.N)
 
     def groups(self, max_degree: int) -> GradedGroups:
-        """The groups up to max_degree: Z in the even degrees up to 2n and
-        Z/N in those beyond (none when N = 1), each built once and shared,
-        handed to ``GradedGroups`` as sorted nonzero pairs.
+        """The groups up to max_degree: the change-point sweep of the one
+        summand (0, N, n + 1), the identity sector, so Z in the even
+        degrees up to 2n and Z/N in those beyond (none when N = 1).
 
         >>> OrbifoldRing((1, 2)).groups(7)
         GradedGroups(max_degree=7, {0: Z, 2: Z, 4: Z/2, 6: Z/2})
         """
-        top = cyclic(self.N)
-        free = 2 * self.weights.n
-        pairs = [(d, Z) for d in range(0, min(free, max_degree) + 1, 2)]
-        if not top.is_zero:
-            pairs += [(d, top) for d in range(free + 2, max_degree + 1, 2)]
-        return GradedGroups(max_degree, pairs)
+        return GradedGroups.sweep(max_degree, 1, [(0, self.N, self.top)])
 
     # -- misc --------------------------------------------------------------
 

@@ -61,10 +61,13 @@ with the per-coordinate degree shifts.  ``pair_scan`` stays in
 with the per-coordinate excess on residue pairs would call it on one
 sector pair per residue pair, a sample of the sector pairs.
 
-``run_checks`` forms the structure constants of every pair of nonzero
-sectors, so it refuses a ring with more than
-``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors before any
-walk, and before it builds the coarse or orbifold ring.
+The rotation-number checks read three runs of p residues per distinct
+weight, so ``run_checks`` refuses a vector whose sum of ell // b over
+its distinct weights is above ``RESIDUE_LIMIT`` before it builds any
+ring; the rule is on what it reads, not on ell.  It forms the structure
+constants of every pair of nonzero sectors, so it refuses a ring with
+more than ``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors
+before any walk, and before it builds the coarse or orbifold ring.
 
 ``star_associativity_scan``, the direct scan over all triples of
 nonzero sectors, is kept as the exhaustive test oracle for the ideal
@@ -83,6 +86,13 @@ from .chenruan import CrRing
 from .kawasaki import KawasakiRing, subset_lcm_table
 from .orbifold import OrbifoldRing
 
+# The residue checks read the numerators of each distinct weight b on
+# 3 * ell / b residues; a vector whose sum of ell // b over its distinct
+# weights is above this is refused before any ring is built.  Every
+# vector with ell <= 100,000 passes: the sum is at most the divisor sum
+# of ell, at most 403,200 there.  19,23,29,31,37 (ell = 14,535,931)
+# sums to 2,760,049 and passes every check in about 2 s.
+RESIDUE_LIMIT = 3_000_000
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -181,9 +191,16 @@ def zero_sector_lemma(ring: CrRing):
 
 def run_checks(weights):
     """All invariant checks for one weight vector, as CheckResult records.
-    More than ``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors
-    are refused with a ``ValueError`` before any check runs."""
+    A sum of ell // b over the distinct weights above ``RESIDUE_LIMIT``,
+    a sector ring over its index bound, and more than
+    ``chenruan.PRODUCT_SECTOR_LIMIT`` nonzero twisted sectors are refused
+    with a ``ValueError``, in that order, before any check runs."""
     w = as_weights(weights)
+    read = sum(w.ell // b for b in set(w.b))
+    if read > RESIDUE_LIMIT:
+        raise ValueError(
+            f"check reads {read} residues mod ell / b, more than the limit of {RESIDUE_LIMIT}"
+        )
     cr = CrRing(w)
     cr._require_products("check forms")
     kaw = KawasakiRing(w)

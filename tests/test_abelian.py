@@ -94,49 +94,99 @@ def test_rejects_bad_input():
 
 
 def test_graded_groups_lookup():
-    gg = GradedGroups(4, {0: Z, 2: cyclic(2), 3: ZERO})
+    gg = GradedGroups(4, [0, 2], [Z, cyclic(2)])
+    assert not gg.rational
     assert gg.group(0) == Z
     assert gg.group(1) == ZERO
-    assert gg.group(3) == ZERO  # zero groups are dropped from the table
+    assert gg.group(3) == ZERO
     assert gg.items() == [(0, Z), (2, cyclic(2))]
+    assert all(type(d) is int for d, _ in gg.items())
     with pytest.raises(ValueError):
         gg.group(5)
     assert gg.to_json() == [
         {"degree": 0, "group": {"free_rank": 1, "torsion": []}},
         {"degree": 2, "group": {"free_rank": 0, "torsion": [2]}},
     ]
-    # a Chen-Ruan style listing, from pairs sorted by Fraction degree
-    rational = GradedGroups(Fraction(3), [(Fraction(2), Z), (Fraction(7, 3), cyclic(3))])
-    assert rational.group(Fraction(2)) == Z
-    assert rational.group(2) == Z
-    assert rational.group(Fraction(7, 3)) == cyclic(3)
-    assert rational.group(Fraction(5, 2)) == ZERO
-    assert rational.group(Fraction(1, 3)) == ZERO
     with pytest.raises(ValueError):
-        rational.group(Fraction(10, 3))
-    assert rational.to_json() == [
-        {"degree": "2", "group": {"free_rank": 1, "torsion": []}},
-        {"degree": "7/3", "group": {"free_rank": 0, "torsion": [3]}},
-    ]
+        GradedGroups(-1, [], [])
 
 
 def test_units_listing_lookup():
     # degrees 0 and 7/3 held as the units 0 and 7 of 1/3
-    units = GradedGroups.in_units(Fraction(3), 3, [0, 7], [Z, cyclic(3)])
-    assert units.columns() == ([0, 7], [Z, cyclic(3)])
+    units = GradedGroups(Fraction(3), [0, 7], [Z, cyclic(3)], 3)
+    assert units.rational
+    assert (units.degrees, units.groups) == ([0, 7], [Z, cyclic(3)])
     assert units.group(0) == Z and units.group(Fraction(0)) == Z
     assert units.group(Fraction(7, 3)) == cyclic(3)
     assert units.group(Fraction(5, 2)) == ZERO  # not a multiple of 1/3
     assert units.group(2) == ZERO
     with pytest.raises(ValueError):
         units.group(Fraction(10, 3))
-    assert units.items() is units.items()  # built once, then held
     assert units.items() == [(0, Z), (Fraction(7, 3), cyclic(3))]
+    assert units.items() is not units.items()  # a new list on each call
     assert all(type(d) is Fraction for d, _ in units.items())
-    by_hand = GradedGroups(Fraction(3), [(Fraction(0), Z), (Fraction(7, 3), cyclic(3))])
-    assert units == by_hand and by_hand.ell is None
-    assert units.to_json() == by_hand.to_json()
-    assert repr(units) == repr(by_hand)
+    assert units.to_json() == [
+        {"degree": "0", "group": {"free_rank": 1, "torsion": []}},
+        {"degree": "7/3", "group": {"free_rank": 0, "torsion": [3]}},
+    ]
+    # the same listing in units of 1/6 is equal, and prints the same
+    finer = GradedGroups(Fraction(3), [0, 14], [Z, cyclic(3)], 6)
+    assert units == finer and repr(units) == repr(finer)
+    assert units.to_json() == finer.to_json()
+
+
+def test_sweep_of_no_summands_is_empty():
+    for max_degree in (0, 5, Fraction(7, 2)):
+        listing = GradedGroups.sweep(max_degree, 1, [])
+        assert (listing.max_degree, listing.degrees, listing.groups) == (max_degree, [], [])
+    with pytest.raises(ValueError):
+        GradedGroups.sweep(-1, 1, [])
+
+
+def test_sweep_with_c_one_ends_the_z_with_nothing():
+    listing = GradedGroups.sweep(12, 1, [(0, 1, 3)])
+    assert listing.items() == [(0, Z), (2, Z), (4, Z)]
+    # an odd shift puts the Z in the odd degrees
+    assert GradedGroups.sweep(12, 1, [(3, 1, 2)]).items() == [(3, Z), (5, Z)]
+
+
+def test_sweep_with_d_zero_starts_at_the_torsion():
+    listing = GradedGroups.sweep(7, 1, [(2, 5, 0)])
+    assert listing.items() == [(2, cyclic(5)), (4, cyclic(5)), (6, cyclic(5))]
+    assert GradedGroups.sweep(7, 1, [(2, 1, 0)]).items() == []
+
+
+def test_sweep_of_two_summands_meeting_at_one_change_point():
+    # the first Z becomes Z/2 at degree 4, where the second Z starts
+    listing = GradedGroups.sweep(8, 1, [(0, 2, 2), (4, 3, 1)])
+    assert listing.items() == [
+        (0, Z), (2, Z), (4, FgAbGroup(1, [2])), (6, FgAbGroup(0, [2, 3])),
+        (8, FgAbGroup(0, [2, 3])),
+    ]
+    assert listing.items() == [(d, direct_sum_all(
+        Z if (d - s) // 2 < dd else cyclic(c) for s, c, dd in [(0, 2, 2), (4, 3, 1)] if d >= s
+    )) for d in range(0, 9, 2)]
+
+
+def test_sweep_stops_at_a_fraction_bound_between_two_units():
+    # units of 1/3: Z at 0, 2/3 and 2, Z/2 at 8/3 and 4
+    summands = [(0, 1, 2), (2, 2, 1)]
+    for bound, top in ((Fraction(5, 2), Fraction(2)), (Fraction(3), Fraction(8, 3))):
+        listing = GradedGroups.sweep(bound, 3, summands)
+        assert listing.max_degree == bound and listing.rational
+        assert listing.items()[-1][0] == top
+        assert [d for d, _ in listing.items()] == sorted(
+            d for d in (Fraction(0), Fraction(2, 3), Fraction(2), Fraction(8, 3)) if d <= bound
+        )
+        assert listing.degrees == sorted(listing.degrees)
+    assert GradedGroups.sweep(Fraction(1, 2), 3, summands).items() == [(0, Z)]
+
+
+def test_sweep_shares_equal_groups_across_classes():
+    # two classes mod 2 ell = 4 list Z, then Z/2: one object per value
+    listing = GradedGroups.sweep(Fraction(12), 2, [(0, 2, 1), (1, 2, 2)])
+    assert listing.degrees == sorted(listing.degrees)
+    assert len({id(g) for g in listing.groups}) == len(set(listing.groups)) == 2
 
 
 @given(groups)

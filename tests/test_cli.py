@@ -192,7 +192,6 @@ HUGE = "19,23,29,31,37"
         ("chenruan", "--weights", HUGE, "--sectors"),
         ("chenruan", "--weights", HUGE, "--presentation", "--format", "json"),
         ("chenruan", "--weights", HUGE, "--multtable", "--sectors"),
-        ("check", "--weights", HUGE),
     ],
 )
 def test_dense_listings_refuse_huge_ell(capsys, argv):
@@ -203,26 +202,32 @@ def test_dense_listings_refuse_huge_ell(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "weights, hint",
+    "weights, hint, check_refusal",
     [
-        # 135 nonzero sectors: both sparse queries pass their limits
-        (HUGE, "; chenruan --multtable and eval still work"),
+        # 135 nonzero sectors: both sparse queries and check pass their limits
+        (HUGE, "; chenruan --multtable and eval still work", None),
         # sum 199,980 is above the index bound, so neither is named
-        ("99991,99989", ""),
+        ("99991,99989", "", "the sector ring indexes up to min(ell, sum of the weights) = "
+                            "199980 nonzero sectors, more than the limit of 100000"),
         # 2,004 nonzero twisted sectors are above the product limit
-        ("997,1009", "; eval still works"),
+        ("997,1009", "; eval still works", "check forms products of 2004 nonzero twisted "
+                                           "sectors, more than the limit of 1000"),
     ],
 )
-def test_dense_refusal_names_the_queries_that_still_work(capsys, weights, hint):
+def test_dense_refusal_names_the_queries_that_still_work(capsys, weights, hint, check_refusal):
     ell = math.lcm(*map(int, weights.split(",")))
-    code, out, err = run_cli(capsys, "check", "--weights", weights)
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: check needs ell within the limit of 100000, got ell = {ell}{hint}\n"
-    )
     code, out, err = run_cli(capsys, "chenruan", "--weights", weights, "--sectors")
     assert (code, out) == (2, "")
-    assert err.endswith(f"limit of 100000, got ell = {ell}{hint}\n")
+    assert err == (
+        "error: the sector chart or presentation needs ell within the limit of 100000, "
+        f"got ell = {ell}{hint}\n"
+    )
+    # check is refused only by the limits of what it reads
+    code, out, err = run_cli(capsys, "check", "--weights", weights)
+    if check_refusal is None:
+        assert (code, err) == (0, "") and out.endswith("17/17 checks passed\n")
+    else:
+        assert (code, out, err) == (2, "", f"error: {check_refusal}\n")
     # a query is named exactly when it answers
     queries = {
         "eval": ("eval", "--ring", "chenruan", "u"),
@@ -266,6 +271,22 @@ def test_dense_limit_boundary(capsys, monkeypatch):
     assert run_cli(capsys, "check", "--weights", "1,2,3")[0] == 0
     assert run_cli(capsys, "chenruan", "--weights", "1,2,4,3", "--sectors")[0] == 2
     assert run_cli(capsys, "check", "--weights", "1,2,4,3")[0] == 2
+
+
+def test_residue_limit_boundary_for_check(capsys, monkeypatch):
+    # (2,3,4) reads 12/2 + 12/3 + 12/4 = 13 residues, (2,3,5) reads 31
+    monkeypatch.setattr("wpscoh.verify.RESIDUE_LIMIT", 13)
+    assert run_cli(capsys, "check", "--weights", "2,3,4,4")[0] == 0
+    code, out, err = run_cli(capsys, "check", "--weights", "2,3,5")
+    assert (code, out) == (2, "")
+    assert err == "error: check reads 31 residues mod ell / b, more than the limit of 13\n"
+
+
+def test_residue_limit_is_checked_before_any_ring(capsys, monkeypatch):
+    monkeypatch.setattr("wpscoh.verify.RESIDUE_LIMIT", 0)
+    for name in ("CrRing", "KawasakiRing", "OrbifoldRing"):
+        monkeypatch.setattr(f"wpscoh.verify.{name}", None)  # calling one would raise TypeError
+    assert run_cli(capsys, "check", "--weights", "1")[0] == 2
 
 
 def test_product_limit_boundary_for_check(capsys, monkeypatch):

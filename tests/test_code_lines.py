@@ -56,3 +56,29 @@ def test_main_totals_the_package(capsys):
     package = TOOL.parent.parent / "src" / "wpscoh"
     assert [row[0] for row in rows] == sorted(path.stem for path in package.glob("*.py"))
     assert name == "total" and int(total) == sum(int(count) for _, count in rows)
+
+
+def test_main_compares_two_packages(tmp_path, capsys):
+    before, after = tmp_path / "before", tmp_path / "after"
+    before.mkdir()
+    after.mkdir()
+    (before / "a.py").write_text("x = 1\ny = 2\n")
+    (before / "gone.py").write_text("x = 1\n")
+    (after / "a.py").write_text("x = 1\n")
+    (after / "b.py").write_text(SOURCE)
+    assert code_lines.main([str(before), str(after)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["a", "2", "1", "-1"],
+        ["b", "0", "9", "+9"],
+        ["gone", "1", "0", "-1"],
+        ["total", "3", "10", "+7"],
+    ]
+
+
+def test_a_package_against_itself_has_no_delta(capsys):
+    package = TOOL.parent.parent / "src" / "wpscoh"
+    assert code_lines.main([str(package), str(package)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert all(before == after and delta == "+0" for _, before, after, delta in rows)
+    assert rows[-1][0] == "total"

@@ -1,5 +1,6 @@
 """``tools/harness_pairs.py`` on the smoke corpora."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -8,7 +9,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "harness_pairs.py"
-METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+METRICS = [m["name"] for m in SPEC]
+
+_spec = importlib.util.spec_from_file_location("harness_pairs", TOOL)
+harness_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(harness_pairs)
 
 
 def run_tool(base, change, *args):
@@ -27,7 +33,7 @@ def test_repo_against_itself():
     proc = run_tool(ROOT, ROOT, "--workload", "cli_small", "--pairs", "2", "--seed", "5")
     assert proc.returncode == 0, proc.stderr
     assert tree_files(ROOT / "perfbench") == before  # reads perfbench/, writes nothing there
-    head, first, second, medians = proc.stdout.splitlines()
+    head, first, second, medians, *verdicts = proc.stdout.splitlines()
     assert head == "cli_small: 2 pairs of 0.1 s runs"
     assert first.startswith("  pair 1 (seed 5; base first): ")
     assert second.startswith("  pair 2 (seed 6; change first): ")
@@ -43,6 +49,40 @@ def test_repo_against_itself():
     cells = [cell.split() for cell in medians.split(": ", 1)[1].split(", ")]
     assert [name for name, _ in cells] == METRICS
     assert all(float(ratio[1:]) > 0 for _, ratio in cells)
+    assert len(verdicts) == len(SPEC)
+    for line, metric in zip(verdicts, SPEC):
+        assert line.startswith(f"  verdict {metric['name']} ({metric['better']} is better): "
+                               "change better in ")
+        assert "/2 pairs, median " in line
+        assert f"of its median (bound {metric['bound']:g})" in line
+
+
+def _metric(better="higher", bound=0.1):
+    return {"name": "m", "unit": "1/s", "better": better, "bound": bound}
+
+
+def test_verdict_counts_wins_in_the_better_direction():
+    base, change = [100, 100, 100, 100], [110, 90, 101, 100]
+    text = harness_pairs.verdict(_metric("higher"), base, change)
+    assert text == ("m (higher is better): change better in 2/4 pairs, median 100 -> 100.5, "
+                    "base spread 0.000 of its median (bound 0.1)")
+    text = harness_pairs.verdict(_metric("lower"), base, change)
+    assert text.startswith("m (lower is better): change better in 1/4 pairs, ")
+
+
+def test_verdict_marks_a_wide_base_spread_unresolved():
+    # inclusive quartiles of 80, 100, 100, 130 are 95 and 107.5: a spread of 0.125
+    base, change = [80, 100, 100, 130], [100, 100, 100, 100]
+    text = harness_pairs.verdict(_metric(bound=0.2), base, change)
+    assert text.endswith("base spread 0.125 of its median (bound 0.2)")
+    text = harness_pairs.verdict(_metric(bound=0.1), base, change)
+    assert text.endswith("base spread 0.125 of its median (bound 0.1): unresolved")
+
+
+def test_verdict_of_one_pair_is_unresolved():
+    text = harness_pairs.verdict(_metric(), [100], [120])
+    assert text == ("m (higher is better): change better in 1/1 pairs, median 100 -> 120, "
+                    "base spread unmeasured: unresolved")
 
 
 def test_a_failed_operation_exits_1(tmp_path):

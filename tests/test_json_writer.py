@@ -168,11 +168,11 @@ def test_writer_matches_oracle_on_json_values(value):
     [], {}, [[]], {"": {}}, [(), {"a": []}], ([[{}]],),
     # library values whose arrays are empty: a listing with no degree, a
     # presentation with no product relation, a group with no torsion
-    GradedGroups(3, {}), {"groups": GradedGroups(3, {})},
-    GradedGroups(Fraction(3), []), {"graded": GradedGroups(Fraction(3), [])},
+    GradedGroups(3, [], []), {"groups": GradedGroups(3, [], [])},
+    GradedGroups(Fraction(3), [], [], 3), {"graded": GradedGroups(Fraction(3), [], [], 3)},
     _Products(()), {"mult_table": _Products(())},
-    GradedGroups(3, {0: FgAbGroup(1)}),
-    {"graded": GradedGroups(Fraction(3), [(Fraction(0), FgAbGroup(1))])},
+    GradedGroups(3, [0], [FgAbGroup(1)]),
+    {"graded": GradedGroups(Fraction(3), [0], [FgAbGroup(1)], 3)},
 ])
 def test_empty_containers(value):
     assert cli._dump_json(value) == oracle(value)
@@ -187,15 +187,18 @@ def test_unknown_leaf_raises_type_error(leaf):
         cli._dump_json(doc)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 7, Fraction(9, 2), Fraction(6)])
-def test_graded_groups_degree_forms(degree):
-    """GradedGroups writes int degrees as ints and Fraction degrees as
-    p/q, the integral ones too, from a dict or from pairs."""
+@pytest.mark.parametrize("units, ell", [(0, 1), (1, 1), (7, 1), (9, 2), (12, 2), (6, 1)])
+def test_graded_groups_degree_forms(units, ell):
+    """A listing with an int max_degree writes its degrees as ints; one
+    with a Fraction max_degree writes each as p/q, the integral ones too."""
     group = FgAbGroup(1, [2, 4])
-    for doc in (GradedGroups(9, {degree: group}), GradedGroups(Fraction(9), [(degree, group)])):
+    docs = [GradedGroups(Fraction(9), [units], [group], ell)]
+    if ell == 1:
+        docs.append(GradedGroups(9, [units], [group]))
+    for doc in docs:
         assert_same_text(cli._dump_json({"groups": doc}), oracle({"groups": doc}))
         written = json.loads(cli._dump_json(doc))[0]["degree"]
-        assert written == (str(degree) if isinstance(degree, Fraction) else degree)
+        assert written == (str(Fraction(units, ell)) if doc.rational else units)
 
 
 def _json_degrees(capsys, argv, key):
@@ -224,15 +227,16 @@ def test_integral_listings_write_int_degrees(capsys, argv):
 @pytest.mark.parametrize("b", [(1,), (1, 1), (2, 2), (1, 2), (5, 7, 9)])
 def test_units_listing_writes_as_its_pairs(b):
     """A listing held in units of 1/ell writes, as JSON and as text,
-    what the same listing built by hand from its Fraction pairs writes."""
+    what the oracle writes from its Fraction pairs, and what the same
+    listing held in units of 1/(6 ell) writes."""
     ring = CrRing(b)
     listing = ring.graded_dimensions(40)
     assert listing.ell == ring.ell
-    by_hand = GradedGroups(Fraction(40), list(listing.items()))
-    assert by_hand.ell is None and by_hand == listing
-    assert_same_text(cli._dump_json(listing), cli._dump_json(by_hand))
+    finer = GradedGroups(Fraction(40), [6 * x for x in listing.degrees], listing.groups, 6 * ring.ell)
+    assert finer == listing
+    assert_same_text(cli._dump_json(listing), cli._dump_json(finer))
     assert_same_text(cli._dump_json(listing), oracle(listing))
-    assert cli._listing(listing, "h") == cli._listing(by_hand, "h")
+    assert cli._listing(listing, "h") == cli._listing(finer, "h")
 
 
 def _count_group_renders(monkeypatch, capsys, max_degree):

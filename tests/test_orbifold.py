@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpscoh.abelian import ZERO, GradedGroups, Z, cyclic
+from wpscoh.abelian import ZERO, Z, cyclic
 from wpscoh.kawasaki import KawasakiRing
 from wpscoh.orbifold import OrbifoldRing, iso_check
 
@@ -116,14 +116,19 @@ def test_qstar_image_nilpotent(b):
 
 @pytest.mark.parametrize("b", [(1,), (1, 1), (1, 1, 1), (1, 2), (2, 2), (3, 4, 2), (5,)])
 def test_groups_list_each_degree_as_group_at_degree(b):
-    """groups hands GradedGroups its sorted nonzero pairs; the listing
-    built from a dict of every degree's group_at_degree is its oracle,
-    N = 1 (nothing above degree 2n) and odd bounds included."""
-    r, k = OrbifoldRing(b), KawasakiRing(b)
+    """groups lists the nonzero group_at_degree of every degree, N = 1
+    (nothing above degree 2n) and odd bounds included."""
+    r = OrbifoldRing(b)
     for max_degree in range(2 * r.top + 4):
-        degrees = range(max_degree + 1)
-        oracle = GradedGroups(max_degree, {d: r.group_at_degree(d) for d in degrees})
-        assert r.groups(max_degree).items() == oracle.items()
-        oracle = GradedGroups(max_degree, {d: Z if d % 2 == 0 and d <= 2 * k.weights.n else ZERO
-                                           for d in degrees})
-        assert k.groups(max_degree).items() == oracle.items()
+        oracle = [(d, r.group_at_degree(d)) for d in range(max_degree + 1)]
+        assert r.groups(max_degree).items() == [(d, g) for d, g in oracle if not g.is_zero]
+
+
+@pytest.mark.parametrize("b", [(1,), (1, 1), (1, 1, 1), (1, 2), (2, 2), (3, 4, 2), (5,)])
+def test_coarse_groups_are_z_at_even_degrees_up_to_2n(b):
+    """The coarse ring's closed form: Z exactly at the even degrees <= 2n."""
+    k = KawasakiRing(b)
+    for max_degree in range(2 * k.weights.n + 6):
+        listing = k.groups(max_degree)
+        assert listing.items() == [(d, Z) for d in range(0, min(max_degree, 2 * k.weights.n) + 1, 2)]
+        assert all(listing.group(d) == ZERO for d in range(1, max_degree + 1, 2))

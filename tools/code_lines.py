@@ -4,7 +4,12 @@ A code line is a line that is not blank, not a comment and not part of a
 module, class or function docstring.  Prints one ``module lines`` row per
 module of ``src/wpscoh``, sorted by name, then the total.
 
+Given two package directories, before and after a change, it prints one
+``module before after delta`` row per module of either, a module absent
+from one side counting 0 there, then the totals.
+
 Usage: python tools/code_lines.py [package directory]
+       python tools/code_lines.py BEFORE_PACKAGE AFTER_PACKAGE
 """
 
 from __future__ import annotations
@@ -34,14 +39,25 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def counts(package: Path) -> dict:
+    """The code lines of each module of package, by module name."""
+    return {path.stem: code_lines(path.read_text()) for path in sorted(package.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        before, after = (counts(Path(arg)) for arg in argv)
+        for name in sorted(before.keys() | after.keys()):
+            old, new = before.get(name, 0), after.get(name, 0)
+            print(f"{name:12} {old:5} {new:5} {new - old:+6}")
+        old, new = sum(before.values()), sum(after.values())
+        print(f"{'total':12} {old:5} {new:5} {new - old:+6}")
+        return 0
     package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "wpscoh"
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.stem:12} {count:5}")
-    print(f"{'total':12} {total:5}")
+    lines = counts(package)
+    for name, count in lines.items():
+        print(f"{name:12} {count:5}")
+    print(f"{'total':12} {sum(lines.values()):5}")
     return 0
 
 
