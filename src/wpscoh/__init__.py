@@ -6,9 +6,9 @@ computations.
 """
 
 from .abelian import FgAbGroup, GradedGroups
-from .arith import WeightVector, gcd_all, lcm_all, rotation_number
+from .arith import WeightVector
 from .chenruan import CrElement, CrRing, SectorData
-from .expr import EvalError, ParseError, evaluate, parse, unparse
+from .expr import EvalError, ParseError, evaluate, parse
 from .kawasaki import KawasakiElement, KawasakiRing, subset_lcm_table
 from .kunneth import ProductGroups, odd_torsion_witness, product_groups
 from .orbifold import OrbifoldElement, OrbifoldRing, iso_check
@@ -32,14 +32,10 @@ __all__ = [
     "SectorData",
     "WeightVector",
     "evaluate",
-    "gcd_all",
     "iso_check",
-    "lcm_all",
     "odd_torsion_witness",
     "parse",
     "product_groups",
-    "rotation_number",
     "run_checks",
     "subset_lcm_table",
-    "unparse",
 ]

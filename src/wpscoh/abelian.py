@@ -13,7 +13,9 @@ the product over q of q raised to the i-th largest exponent v_q(d).
 ``direct_sum_all`` pools the summands and canonicalises once.  The
 older pairwise gcd/lcm absorption, Z/a + Z/b = Z/gcd(a,b) + Z/lcm(a,b)
 repeated to a fixed point, is kept as the test oracle in
-``tests/test_closed_form_oracle.py``.
+``tests/test_closed_form_oracle.py``.  No library path forms a tensor
+or Tor product: the Kunneth groups have a closed form, and the tensor
+and Tor rules they replaced are test oracles in ``tests/oracles.py``.
 
 A caller that already holds the chain, as ``kunneth.product_groups``
 does, builds the group with ``FgAbGroup._from_chain``, which trusts it
@@ -42,7 +44,6 @@ which is no sum of such summands, hands in its two lists itself.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -92,8 +93,6 @@ class FgAbGroup:
     FgAbGroup(1, (2, 4))
     >>> print(FgAbGroup(0, [0, 1, 12, 18]))
     Z + Z/6 + Z/36
-    >>> FgAbGroup(0, []).is_zero
-    True
     """
 
     __slots__ = ("free_rank", "torsion")
@@ -141,47 +140,6 @@ class FgAbGroup:
             i = j
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def tensor(self, other: "FgAbGroup") -> "FgAbGroup":
-        """Tensor product over Z.
-
-        Z tensor Z/a = Z/a and Z/a tensor Z/b = Z/gcd(a,b), extended
-        bilinearly over direct sums.
-
-        >>> Z = FgAbGroup(1)
-        >>> print(Z.tensor(FgAbGroup(0, [4])))
-        Z/4
-        >>> print(FgAbGroup(0, [2]).tensor(FgAbGroup(0, [3])))
-        0
-        >>> print(FgAbGroup(1, [2]).tensor(FgAbGroup(1, [2])))
-        Z + Z/2 + Z/2 + Z/2
-        """
-        orders = list(other.torsion) * self.free_rank
-        orders += list(self.torsion) * other.free_rank
-        orders += [math.gcd(a, b) for a in self.torsion for b in other.torsion]
-        return FgAbGroup(self.free_rank * other.free_rank, orders)
-
-    def tor(self, other: "FgAbGroup") -> "FgAbGroup":
-        """Torsion product: Tor(Z, -) = 0, Tor(Z/a, Z/b) = Z/gcd(a,b).
-
-        >>> print(FgAbGroup(1).tor(FgAbGroup(0, [12])))
-        0
-        >>> print(FgAbGroup(0, [4]).tor(FgAbGroup(0, [6])))
-        Z/2
-        """
-        return FgAbGroup(0, [math.gcd(a, b) for a in self.torsion for b in other.torsion])
-
-    def direct_sum(self, other: "FgAbGroup") -> "FgAbGroup":
-        """Direct sum, re-canonicalised.
-
-        >>> print(FgAbGroup(0, [2]).direct_sum(FgAbGroup(0, [3])))
-        Z/6
-        """
-        return FgAbGroup(self.free_rank + other.free_rank, self.torsion + other.torsion)
-
     def to_json(self) -> dict:
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
@@ -215,11 +173,6 @@ def direct_sum_all(groups) -> FgAbGroup:
     return FgAbGroup(free_rank, orders)
 
 
-def cyclic(d: int) -> FgAbGroup:
-    """The cyclic group Z/d (d = 0 gives Z, d = 1 gives 0)."""
-    return FgAbGroup(0, [d])
-
-
 ZERO = FgAbGroup()
 Z = FgAbGroup(1)
 
@@ -238,7 +191,7 @@ class GradedGroups:
     then the Fractions units / ell; otherwise ell is 1 and the degrees are
     the ints themselves.
 
-    >>> GradedGroups(Fraction(3), [0, 7], [Z, cyclic(3)], 3)
+    >>> GradedGroups(Fraction(3), [0, 7], [Z, FgAbGroup(0, [3])], 3)
     GradedGroups(max_degree=3, {0: Z, 7/3: Z/3})
     """
 

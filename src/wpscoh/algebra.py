@@ -19,12 +19,10 @@ Euler class c_j u^{d_j} and constants read off the rotation numbers.
 An ``Element`` stores {basis: {u-exponent: coefficient}}; in normal form
 each coefficient at an exponent >= d of its annihilator lies in [0, c),
 and no zero coefficient or empty basis entry is kept.  Every element a
-ring builds is in normal form; the one exception is the sector ring's
-kernel relation c_j u^{d_j} a_j, built as it stands so that it prints.
-A ring (``Algebra``) supplies the four facts above through
-``_raw_product``, ``_annihilator``, ``_shift`` and ``_variable``; the
-bilinear product, the normal form, square-and-multiply and the printer
-exist here once.
+ring builds is in normal form.  A ring (``Algebra``) supplies the four
+facts above through ``_raw_product``, ``_annihilator``, ``_shift`` and
+``_variable``; the bilinear product, the normal form, square-and-multiply
+and the printer exist here once.
 """
 
 from __future__ import annotations

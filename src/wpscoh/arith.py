@@ -9,7 +9,6 @@ normalises on construction, so equality is structural.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable
 
 
@@ -17,38 +16,6 @@ def _require_positive(x, what: str) -> int:
     if not isinstance(x, int) or x < 1:
         raise ValueError(f"{what} must be a positive integer, got {x!r}")
     return x
-
-
-def gcd_all(xs: Iterable[int]) -> int:
-    """Greatest common divisor of a nonempty collection of positive integers.
-
-    >>> gcd_all((1, 2, 2, 3, 3, 3))
-    1
-    >>> gcd_all((2, 4, 8))
-    2
-    """
-    xs = tuple(xs)
-    if not xs:
-        raise ValueError("gcd_all needs at least one integer")
-    for x in xs:
-        _require_positive(x, "gcd_all entry")
-    return math.gcd(*xs)
-
-
-def lcm_all(xs: Iterable[int]) -> int:
-    """Least common multiple of a nonempty collection of positive integers.
-
-    >>> lcm_all((1, 2, 2, 3, 3, 3))
-    6
-    >>> lcm_all((4, 6))
-    12
-    """
-    xs = tuple(xs)
-    if not xs:
-        raise ValueError("lcm_all needs at least one integer")
-    for x in xs:
-        _require_positive(x, "lcm_all entry")
-    return math.lcm(*xs)
 
 
 def coprime_base(xs: Iterable[int]) -> list[int]:
@@ -94,24 +61,6 @@ def valuation(x: int, q: int) -> int:
     return e
 
 
-def rotation_number(weight: int, m: int, ell: int) -> Fraction:
-    """Fractional part of weight*m/ell, as an exact fraction in [0, 1).
-
-    This is the rotation that the m-th power of a primitive ell-th root
-    of unity performs on a coordinate carrying the given weight.
-
-    >>> rotation_number(2, 1, 6)
-    Fraction(1, 3)
-    >>> rotation_number(3, 2, 6)
-    Fraction(0, 1)
-    """
-    _require_positive(weight, "weight")
-    _require_positive(ell, "modulus")
-    if not isinstance(m, int):
-        raise ValueError(f"rotation_number expects an integer, got {m!r}")
-    return Fraction(weight * m % ell, ell)
-
-
 class WeightVector:
     """A validated tuple of positive integer weights (b_0, ..., b_n).
 
@@ -122,8 +71,6 @@ class WeightVector:
     >>> w = WeightVector((1, 2, 2, 3, 3, 3))
     >>> w.n, w.N, w.g, w.ell
     (5, 108, 1, 6)
-    >>> WeightVector((2, 4)).reduced_base()
-    WeightVector(1, 2)
     """
 
     __slots__ = ("b", "n", "N", "g", "ell")
@@ -139,15 +86,6 @@ class WeightVector:
         self.N = math.prod(b)
         self.g = math.gcd(*b)
         self.ell = math.lcm(*b)
-
-    @property
-    def reduced(self) -> bool:
-        """True when the weights have no common factor (no global stabilizer)."""
-        return self.g == 1
-
-    def reduced_base(self) -> "WeightVector":
-        """The weight vector divided through by the common gcd."""
-        return WeightVector(x // self.g for x in self.b)
 
     def __len__(self):
         return len(self.b)

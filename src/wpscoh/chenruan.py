@@ -117,11 +117,11 @@ class SectorData:
     indices with rotation number zero; ``c`` and ``d`` the coefficient
     and u-exponent of the sector's Euler class; ``degree_shift`` twice
     the age.  ``fixed`` and ``degree_shift`` must be the ones that ``a``
-    gives.  ``CrRing.sector`` builds a record from the ring's integers
-    on each call, and records compare and hash by value; output reads
-    those integers and builds no record.
+    gives.  Indexing ``CrRing.sectors`` builds a record from the ring's
+    integers on each access, and records compare and hash by value;
+    output reads those integers and builds no record.
 
-    >>> CrRing((1, 2)).sector(1)
+    >>> CrRing((1, 2)).sectors[1]
     SectorData(j=1, a=(Fraction(1, 2), Fraction(0, 1)), fixed=(1,), c=2, d=1, \
 degree_shift=Fraction(1, 1))
     """
@@ -144,11 +144,8 @@ degree_shift=Fraction(1, 1))
 
 
 class CrElement(Element):
-    """Finitely supported map sector -> integer polynomial in u.
-
-    Held in per-sector normal form, except the kernel relations that
-    ``CrRing.kernel_relation`` builds as they stand.
-    """
+    """Finitely supported map sector -> integer polynomial in u, held in
+    per-sector normal form."""
 
     __slots__ = ()
     __pow__ = Element.__pow__  # its own name, for perfbench/tracing.py
@@ -242,10 +239,6 @@ class CrRing(Algebra):
                 shifts = list(map(add, shifts, column))
             self._shifts = tuple(shifts)
         return self._shifts
-
-    def sector(self, j: int) -> SectorData:
-        self._check_basis(j)
-        return self._record(j)
 
     def _record(self, j: int) -> SectorData:
         """The record of sector j, built from the ring's integers."""
@@ -357,12 +350,6 @@ class CrRing(Algebra):
         return self.star(x, y)
 
     # -- relations and presentation ---------------------------------------------
-
-    def kernel_relation(self, j: int) -> "CrElement":
-        """The sector-j kernel generator c_j u^{d_j} (times the sector
-        generator), before reduction; its normal form is zero."""
-        c, d = self.euler(j)
-        return CrElement(self, {j: {d: c}})
 
     def mult_table(self) -> dict:
         """Products of all nonzero twisted generators, keyed by (i, j), i <= j."""
@@ -514,11 +501,6 @@ class KernelRelation:
     coefficient: int
     exponent: int
     ring: CrRing
-
-    @property
-    def element(self) -> "CrElement":
-        """The relation as an element of the ring, before reduction."""
-        return self.ring.kernel_relation(self.j)
 
     def render(self, latex: bool = False) -> str:
         """The monomial c u^d a_j, e.g. ``4u^2a3``, as its element prints."""

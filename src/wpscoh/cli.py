@@ -94,7 +94,7 @@ from .arith import WeightVector
 from .chenruan import CrElement, CrRing, GeneratorUnits, KernelRelations, _Sectors
 from .expr import EvalError, ParseError, evaluate, parse
 from .kawasaki import KawasakiElement, KawasakiRing
-from .kunneth import product_groups
+from .kunneth import odd_torsion_witness, product_groups
 from .orbifold import OrbifoldElement, OrbifoldRing
 from .verify import CheckResult, run_checks
 
@@ -682,7 +682,7 @@ def _cmd_kunneth(args) -> dict:
     pg = product_groups(wa, wb, max_degree)
     doc = {"weights_a": wa, "weights_b": wb, "max_degree": max_degree, "groups": pg.groups}
     if args.format != "latex":
-        doc["odd_torsion_witness"] = pg.odd_torsion_witness()
+        doc["odd_torsion_witness"] = odd_torsion_witness(wa, wb, max_degree)
     return doc
 
 

@@ -17,9 +17,10 @@ business, checked at evaluation time.
 
 Parentheses and unary minus may nest at most ``MAX_NESTING`` deep;
 deeper input is a ParseError rather than a blown interpreter stack.
-Chains of + - * are loops in the parser, in ``unparse`` and in
-``evaluate``, and the inner AST nodes compare, hash and print by a loop
-over the tree, so the length of a chain is not bounded.
+Chains of + - * are loops in the parser and in ``evaluate``, and the
+inner AST nodes compare, hash and print by a loop over the tree, so the
+length of a chain is not bounded.  The printer that inverts ``parse``
+is a test oracle, ``unparse`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -279,52 +280,6 @@ def parse(text: str):
     if kind != "end":
         raise ParseError(f"expected end of input, got {_describe(kind, value)}", pos)
     return node
-
-
-# -- printer ----------------------------------------------------------------------
-
-# binding strength of each node; children below the required strength
-# get parenthesized so the round trip preserves the tree
-_LEVEL = {Add: 1, Sub: 1, Mul: 2, Neg: 3, Pow: 4, Lit: 5, Sym: 5}
-
-
-def _wrap(node, minimum):
-    text = unparse(node)
-    return f"({text})" if _LEVEL[type(node)] < minimum else text
-
-
-# infix text of each binary node: its left operand must bind at least as
-# tightly as the node itself, its right operand more tightly
-_INFIX = {Add: " + ", Sub: " - ", Mul: "*"}
-
-
-def unparse(node) -> str:
-    """Render an AST so that parse(unparse(t)) == t.
-
-    >>> unparse(parse("2*(a4 - 1)"))
-    '2*(a4 - 1)'
-    """
-    # a chain such as x + y - z*w is a left spine: walk it in a loop
-    spine = []
-    while type(node) in _INFIX:
-        spine.append(node)
-        node = node.left
-        if _LEVEL[type(node)] < _LEVEL[type(spine[-1])]:
-            break
-    if spine:
-        text = _wrap(node, _LEVEL[type(spine[-1])])
-        for op in reversed(spine):
-            text += _INFIX[type(op)] + _wrap(op.right, _LEVEL[type(op)] + 1)
-        return text
-    if isinstance(node, Lit):
-        return str(node.value)
-    if isinstance(node, Sym):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.operand, 3)
-    if isinstance(node, Pow):
-        return f"{_wrap(node.base, 5)}^{node.exponent}"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # -- evaluator -----------------------------------------------------------------------

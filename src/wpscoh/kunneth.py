@@ -23,7 +23,8 @@ are g^(v+m), then Na^(t-m) or Nb^(s-m), then L^m.  At most one of the
 middle runs is non-empty and g | Na, Nb | L, so once every order 1 is
 dropped this is already the canonical chain: each degree's group is
 built from it by ``FgAbGroup._from_chain``, with no canonicalisation.
-The summand-by-summand construction is kept as the test oracle in
+The summand-by-summand construction, from the tensor and Tor rules of
+``tests/oracles.py``, is kept as the test oracle in
 ``tests/test_closed_form_oracle.py``, and the canonicalising
 constructor as the oracle of each chain.
 
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from .abelian import FgAbGroup, GradedGroups
-from .arith import WeightVector, as_weights
+from .arith import as_weights
 
 
 @dataclass(frozen=True)
@@ -46,19 +47,6 @@ class ProductGroups:
     """Degree-wise groups of a product of two orbifold rings."""
 
     groups: GradedGroups
-    a: WeightVector
-    b: WeightVector
-
-    def odd_torsion_witness(self):
-        """Smallest odd degree up to the bound with a nonzero group, or None."""
-        return _witness(self.a, self.b, self.groups.max_degree)
-
-
-def _witness(wa: WeightVector, wb: WeightVector, max_degree: int):
-    """2(na + nb) + 3 if that degree is within max_degree and
-    gcd(Na, Nb) > 1, else None."""
-    d = 2 * (wa.n + wb.n) + 3
-    return d if d <= max_degree and math.gcd(wa.N, wb.N) > 1 else None
 
 
 def _count(lo: int, hi: int) -> int:
@@ -100,7 +88,7 @@ def product_groups(a, b, max_degree: int) -> ProductGroups:
         if r or chain:
             degrees.append(d)
             groups.append(FgAbGroup._from_chain(r, chain))
-    return ProductGroups(GradedGroups(max_degree, degrees, groups), wa, wb)
+    return ProductGroups(GradedGroups(max_degree, degrees, groups))
 
 
 def odd_torsion_witness(a, b, max_degree: int):
@@ -113,4 +101,6 @@ def odd_torsion_witness(a, b, max_degree: int):
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    return _witness(as_weights(a), as_weights(b), max_degree)
+    wa, wb = as_weights(a), as_weights(b)
+    d = 2 * (wa.n + wb.n) + 3
+    return d if d <= max_degree and math.gcd(wa.N, wb.N) > 1 else None

@@ -15,7 +15,7 @@ summand (0, N, n + 1).
 
 from __future__ import annotations
 
-from .abelian import FgAbGroup, GradedGroups, ZERO, Z, cyclic
+from .abelian import GradedGroups
 from .algebra import Algebra, Element, u_power
 from .arith import as_weights
 
@@ -85,24 +85,6 @@ class OrbifoldRing(Algebra):
     multiply = Algebra.multiply  # its own name, for perfbench/tracing.py
 
     # -- graded structure ------------------------------------------------
-
-    def group_at_degree(self, d: int) -> FgAbGroup:
-        """The cohomology group in a single degree.
-
-        Z in even degrees up to 2n, Z/N in even degrees beyond, zero in
-        odd degrees.
-
-        >>> R = OrbifoldRing((1, 2))
-        >>> print(R.group_at_degree(2)); print(R.group_at_degree(4)); print(R.group_at_degree(3))
-        Z
-        Z/2
-        0
-        """
-        if d < 0:
-            raise ValueError("degree must be >= 0")
-        if d % 2:
-            return ZERO
-        return Z if d // 2 <= self.weights.n else cyclic(self.N)
 
     def groups(self, max_degree: int) -> GradedGroups:
         """The groups up to max_degree: the change-point sweep of the one

@@ -33,16 +33,21 @@ def test_repo_against_itself():
     assert all(line.endswith("outputs byte-identical") for line in heads)
     for name in ("ops_per_s", "latency_p50_ms", "latency_p90_ms", "per-op latency ratio"):
         assert proc.stdout.count(name) >= 3, name
-    # one line per workload: the median ratio of each subcommand, eval by ring
-    per_command = [line.split(":", 1)[1] for line in proc.stdout.splitlines()
-                   if line.startswith("  per-subcommand median latency ratio:")]
-    assert len(per_command) == 3
-    names = [{entry.split()[0] for entry in line.split(",")} for line in per_command]
-    assert {"kunneth", "chenruan"} <= names[2]
+    # one row per subcommand of each workload, eval by ring: the median
+    # ratio, its quartiles and the number of operations behind them
+    tables = [[line.split() for line in block.splitlines() if line.startswith("    ")]
+              for block in proc.stdout.split(f"  {ab_compare.PER_COMMAND}\n")[1:]]
+    names = [{row[0] for row in table} for table in tables]
+    assert len(tables) == 3 and {"kunneth", "chenruan"} <= names[2]
     assert all(name in SUBCOMMANDS for line in names for name in line), names
     assert any(name.startswith("eval:") for name in names[0])
-    for line in per_command:
-        assert all(float(entry.split()[1]) > 0 for entry in line.split(","))
+    for head, table in zip(heads, tables):
+        for name, median, spread, ops in table:
+            low, high = map(float, spread.split("-"))
+            assert 0 < low <= float(median) <= high, (name, median, spread)
+            assert int(ops) >= 1
+        # the subcommands' op counts add up to the workload's
+        assert sum(int(row[3]) for row in table) == int(head.split()[1])
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -76,3 +81,9 @@ def test_a_crash_on_one_side_is_a_difference(tmp_path):
     proc = run_tool(ROOT, tmp_path, "--workload", "cli_small")
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.startswith("cli_small: the two sides differ on eval ")
+
+
+def test_quartiles_stay_within_the_ratios():
+    assert ab_compare.quartiles([0.9]) == (0.9, 0.9, 0.9)
+    assert ab_compare.quartiles([0.5, 3.0]) == (1.125, 1.75, 2.375)
+    assert ab_compare.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)

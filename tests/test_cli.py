@@ -17,7 +17,6 @@ from wpscoh import chenruan, cli
 from wpscoh.chenruan import CrRing, KernelRelation, ProductRelation
 from wpscoh.cli import main
 from wpscoh.kawasaki import KawasakiRing
-from wpscoh.kunneth import ProductGroups
 from wpscoh.orbifold import OrbifoldRing
 from wpscoh.verify import CheckResult
 
@@ -822,8 +821,7 @@ def _count_calls(monkeypatch, owner, name, calls):
         (("chenruan", "--weights", "3,4"), CrRing, "graded_dimensions"),
         (("orbifold", "--weights", "1,2,2,3,3,3"), OrbifoldRing, "groups"),
         (("kawasaki", "--weights", "1,2,2,3,3,3"), KawasakiRing, "groups"),
-        (("kunneth", "--weights", "1,2", "--weights-b", "1,2"), ProductGroups,
-         "odd_torsion_witness"),
+        (("kunneth", "--weights", "1,2", "--weights-b", "1,2"), cli, "odd_torsion_witness"),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -15,10 +15,11 @@ from wpscoh.expr import (
     Sym,
     evaluate,
     parse,
-    unparse,
 )
 from wpscoh.kawasaki import KawasakiRing
 from wpscoh.orbifold import OrbifoldRing
+
+from oracles import unparse
 
 B = (1, 2, 2, 3, 3, 3)
 

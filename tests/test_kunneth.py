@@ -1,47 +1,12 @@
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpscoh.abelian import FgAbGroup
+from wpscoh.abelian import FgAbGroup, direct_sum_all
 from wpscoh.kunneth import odd_torsion_witness, product_groups
 
+from oracles import group_at_degree, kunneth_summands
+
 weight_vectors = st.lists(st.integers(1, 6), min_size=1, max_size=4)
-
-
-# -- independent oracle -------------------------------------------------------
-# Groups are plain summand lists: 0 means an infinite cyclic summand.
-# Built from the closed form of the factor groups, with its own tensor
-# and Tor rules for cyclic summands.
-
-
-def oracle_factor(b, degree):
-    n = len(b) - 1
-    if degree % 2 or degree < 0:
-        return []
-    total = math.prod(b)
-    return [0] if degree // 2 <= n else [total]
-
-
-def oracle_tensor(xs, ys):
-    out = []
-    for x in xs:
-        for y in ys:
-            out.append(y if x == 0 else (x if y == 0 else math.gcd(x, y)))
-    return out
-
-
-def oracle_tor(xs, ys):
-    return [math.gcd(x, y) for x in xs for y in ys if x != 0 and y != 0]
-
-
-def oracle_product_group(a, b, degree):
-    summands = []
-    for i in range(degree + 1):
-        summands += oracle_tensor(oracle_factor(a, i), oracle_factor(b, degree - i))
-    for i in range(degree + 2):
-        summands += oracle_tor(oracle_factor(a, i), oracle_factor(b, degree + 1 - i))
-    return FgAbGroup(0, summands)
 
 
 # -- tests ----------------------------------------------------------------------
@@ -50,7 +15,7 @@ def oracle_product_group(a, b, degree):
 def test_oracle_agrees_with_engine_up_to_12():
     pg = product_groups((1, 2), (1, 2), 12)
     for d in range(13):
-        assert pg.groups.group(d) == oracle_product_group((1, 2), (1, 2), d), d
+        assert pg.groups.group(d) == direct_sum_all(kunneth_summands((1, 2), (1, 2), d)), d
 
 
 def test_first_odd_torsion_degree():
@@ -76,8 +41,8 @@ def test_point_factor_recovers_the_other_side():
 
     factor = OrbifoldRing((1, 2))
     for d in range(11):
-        assert pg.groups.group(d) == factor.group_at_degree(d)
-        assert single.groups.group(d) == factor.group_at_degree(d)
+        assert pg.groups.group(d) == group_at_degree(factor, d)
+        assert single.groups.group(d) == group_at_degree(factor, d)
 
 
 @given(weight_vectors, weight_vectors)
@@ -102,4 +67,4 @@ def test_odd_degrees_are_pure_torsion(a, b):
 def test_oracle_agreement_property(a, b):
     pg = product_groups(a, b, 8)
     for d in range(9):
-        assert pg.groups.group(d) == oracle_product_group(a, b, d)
+        assert pg.groups.group(d) == direct_sum_all(kunneth_summands(a, b, d))

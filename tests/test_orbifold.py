@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpscoh.abelian import ZERO, Z, cyclic
+from wpscoh.abelian import ZERO, Z
 from wpscoh.kawasaki import KawasakiRing
 from wpscoh.orbifold import OrbifoldRing, iso_check
+
+from oracles import cyclic, group_at_degree
 
 weight_vectors = st.lists(st.integers(1, 12), min_size=1, max_size=5)
 
@@ -51,12 +53,12 @@ def test_multiply_rejects_other_ring():
 
 def test_group_at_degree_examples():
     r = OrbifoldRing((1, 2))
-    assert r.group_at_degree(2) == Z
-    assert r.group_at_degree(4) == cyclic(2)
-    assert r.group_at_degree(7).is_zero
-    assert r.group_at_degree(0) == Z
+    assert group_at_degree(r, 2) == Z
+    assert group_at_degree(r, 4) == cyclic(2)
+    assert group_at_degree(r, 7) == ZERO
+    assert group_at_degree(r, 0) == Z
     smooth = OrbifoldRing((1, 1))
-    assert smooth.group_at_degree(4).is_zero  # Z/1
+    assert group_at_degree(smooth, 4) == ZERO  # Z/1
 
 
 def test_normal_forms_are_a_transversal_above_top():
@@ -120,8 +122,8 @@ def test_groups_list_each_degree_as_group_at_degree(b):
     (nothing above degree 2n) and odd bounds included."""
     r = OrbifoldRing(b)
     for max_degree in range(2 * r.top + 4):
-        oracle = [(d, r.group_at_degree(d)) for d in range(max_degree + 1)]
-        assert r.groups(max_degree).items() == [(d, g) for d, g in oracle if not g.is_zero]
+        oracle = [(d, group_at_degree(r, d)) for d in range(max_degree + 1)]
+        assert r.groups(max_degree).items() == [(d, g) for d, g in oracle if g != ZERO]
 
 
 @pytest.mark.parametrize("b", [(1,), (1, 1), (1, 1, 1), (1, 2), (2, 2), (3, 4, 2), (5,)])

@@ -359,12 +359,11 @@ def test_matches_oracle_on_drawn_weights(weights, fmt, sections, max_degree):
 
 @pytest.mark.parametrize("weights", ["4,9,14", "1,1", "2,2,3"])
 def test_chenruan_builds_nothing_per_zero_sector(monkeypatch, weights):
-    """No format or section set reads a sector through ``CrRing.sector``,
-    builds a sector record through ``CrRing._record``, or builds an
-    element through ``_from_parts`` or ``_normal``: the product relations
-    are written from their integers."""
+    """No format or section set builds a sector record through
+    ``CrRing._record``, or builds an element through ``_from_parts`` or
+    ``_normal``: the product relations are written from their integers."""
     calls = Counter()
-    for name in ("sector", "_record", "_from_parts", "_normal"):
+    for name in ("_record", "_from_parts", "_normal"):
         original = getattr(CrRing, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):

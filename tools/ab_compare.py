@@ -23,8 +23,10 @@ Per workload it prints, for each side, ``ops_per_s``, ``latency_p50_ms``
 and ``latency_p90_ms`` as ``perfbench/run.py`` defines them (from each
 operation's mean latency over the timed passes), then the change/base
 ratio of each figure, the median and quartiles of the per-operation
-latency ratios, and the median of those ratios per subcommand (``eval``
-split by its ``--ring``), so a gain shows where it lands.  The host's
+latency ratios, and per subcommand (``eval`` split by its ``--ring``)
+the median and quartiles of those ratios and the number of operations
+they come from, so a gain shows where it lands and a subcommand's
+median can be told from the spread of its few operations.  The host's
 speed drifts more between two runs than between the two calls of a
 pair, so these ratios are steadier than a comparison of two separate
 runs.
@@ -46,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+PER_COMMAND = "per-subcommand latency ratio: median, quartiles, ops"
 
 
 def load_cli(tree: Path, name: str):
@@ -107,9 +110,11 @@ def figures(bench, latencies):
 
 
 def quartiles(values):
+    """Lower quartile, median and upper quartile, interpolated within the
+    range of the values, so a group of two or three stays inside it."""
     if len(values) < 2:
         return values[0], values[0], values[0]
-    low, median, high = statistics.quantiles(values, n=4)
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
     return low, median, high
 
 
@@ -137,9 +142,10 @@ def report(bench, workload, ops, samples) -> list[str]:
     by_command = {}
     for op, ratio in zip(ops, ratios):
         by_command.setdefault(subcommand(op.argv), []).append(ratio)
-    lines.append("  per-subcommand median latency ratio:" + ",".join(
-        f" {name} {statistics.median(values):.3f}" for name, values in sorted(by_command.items())
-    ))
+    lines.append(f"  {PER_COMMAND}")
+    for name, values in sorted(by_command.items()):
+        low, median, high = quartiles(values)
+        lines.append(f"    {name:14} {median:.3f}  {low:.3f}-{high:.3f}  {len(values)}")
     return lines
 
 
