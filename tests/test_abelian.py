@@ -57,6 +57,12 @@ def test_tor_examples():
     assert tor(cyclic(4), cyclic(6)) == cyclic(2)
 
 
+def test_direct_sum_examples():
+    assert direct_sum_all([cyclic(2), cyclic(3)]) == cyclic(6)
+    assert direct_sum_all([ZERO, FgAbGroup(1, [4])]) == FgAbGroup(1, [4])
+    assert direct_sum_all([cyclic(2), cyclic(4)]).torsion == (2, 4)
+
+
 @given(groups, groups)
 def test_tensor_and_sum_commutative(a, b):
     assert tensor(a, b) == tensor(b, a)

@@ -5,10 +5,35 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wpscoh.arith import WeightVector, as_weights
+from wpscoh.chenruan import CrRing
 
 from oracles import rotation_number
 
 weight_vectors = st.lists(st.integers(1, 12), min_size=1, max_size=6)
+
+
+# the gcd and lcm of the weights are WeightVector.g and WeightVector.ell
+
+
+def test_gcd_all_examples():
+    assert WeightVector((1, 2, 2, 3, 3, 3)).g == 1
+    assert WeightVector((2, 4, 8)).g == 2
+    assert WeightVector((6, 6)).g == 6
+    assert WeightVector((7,)).g == 7
+
+
+def test_lcm_all_examples():
+    assert WeightVector((1, 2, 2, 3, 3, 3)).ell == 6
+    assert WeightVector((1, 1, 1)).ell == 1
+    assert WeightVector((4, 6)).ell == 12
+
+
+@pytest.mark.parametrize("bad", [(), (0,), (-2, 3), (2.5,), ("3",)])
+def test_gcd_lcm_reject_bad_input(bad):
+    with pytest.raises(ValueError):
+        WeightVector(bad)
+    with pytest.raises(ValueError):
+        as_weights(bad)
 
 
 def test_rotation_number_examples():
@@ -58,6 +83,18 @@ def test_weight_vector_derived_fields():
     assert WeightVector((2, 4)).g == 2
     assert list(w) == [1, 2, 2, 3, 3, 3]
     assert w[3] == 3 and len(w) == 6
+
+
+def test_weight_vector_gerbe_base():
+    # P(2, 4) is a Z/2 gerbe over P(1, 2): the sectors acting trivially on
+    # every coordinate are the g multiples of ell/g
+    w = WeightVector((2, 4))
+    assert (w.g, w.ell) == (2, 4)
+    assert WeightVector(x // w.g for x in w) == WeightVector((1, 2))
+    assert WeightVector((1, 2)).g == 1
+    ring = CrRing(w)
+    trivial = [j for j in range(ring.ell) if not any(ring.rotations(j))]
+    assert trivial == list(range(0, w.ell, w.ell // w.g)) == [0, 2]
 
 
 @pytest.mark.parametrize("bad", [(), (0, 1), (-1,), (1, 2.5)])
